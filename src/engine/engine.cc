@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "src/obs/selfprof.h"
 #include "src/sim/stream.h"
@@ -70,8 +72,8 @@ namespace engine_internal {
 struct LoadItem {
   std::vector<std::size_t> layer_indices;
   std::int64_t bytes = 0;
-  // Label for timeline/recorder/causal output; left empty (not built) when no
-  // consumer is attached, which is the serving hot path.
+  // Label for the trace recorder and causal graph; left empty (not built)
+  // when neither records this run, which is the serving hot path.
   std::string name;
 };
 
@@ -132,6 +134,54 @@ void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
   pid_ = pid;
 }
 
+CpNodeId Engine::RecordOp(int causal_request, CpKind kind, std::string_view verb,
+                          std::string_view name, GpuId from, GpuId to,
+                          Nanos start, std::int64_t bytes, Nanos dha_pcie) {
+  if (recorder_ == nullptr && causal_request < 0) {
+    return -1;
+  }
+  const Nanos end = sim_->now();
+  std::string label;
+  label.reserve(verb.size() + name.size());
+  label.append(verb).append(name);
+  std::string track =
+      kind == CpKind::kPcie     ? "pcie/gpu" + std::to_string(to)
+      : kind == CpKind::kNvlink ? "nvlink/" + std::to_string(from) + "->" + std::to_string(to)
+                                : "exec/gpu" + std::to_string(to);
+  if (recorder_ != nullptr) {
+    if (kind == CpKind::kExec) {
+      recorder_->Span(pid_, track, label, start, end - start);
+    } else {
+      // Async interval, not a complete slice: another run's transfers may be
+      // draining through the same link at the same time.
+      const std::uint64_t aid = next_async_id_++;
+      recorder_->AsyncBegin(pid_, track, label, aid, start);
+      recorder_->AsyncEnd(pid_, track, label, aid, end);
+    }
+  }
+  if (causal_request < 0) {
+    return -1;
+  }
+  if (kind == CpKind::kExec) {
+    const CpNodeId node = causal_->AddNode(causal_request, kind, std::move(label),
+                                           std::move(track), start, end);
+    if (dha_pcie > 0) {
+      causal_->SetNodeDhaPcie(node, dha_pcie);
+    }
+    return node;
+  }
+  const bool pcie = kind == CpKind::kPcie;
+  const std::vector<LinkId> path =
+      pcie ? fabric_->HostToGpuPath(to) : fabric_->GpuToGpuPath(from, to);
+  const Nanos setup = pcie ? perf_->calibration().pcie_transfer_overhead
+                           : fabric_->topology().nvlink().transfer_latency;
+  const CpNodeId node = causal_->AddNode(
+      causal_request, kind, std::move(label), std::move(track), start, end, bytes,
+      fabric_->fabric().SoloDuration(path, bytes, setup));
+  causal_->SetNodePath(node, fabric_->CausalHops(path));
+  return node;
+}
+
 void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                      std::vector<GpuId> secondaries, const ColdRunOptions& options,
                      std::function<void(InferenceResult)> done) {
@@ -158,7 +208,6 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   run->result.cold = true;
   run->result.partitions.clear();
   run->result.partitions.resize(parts);
-  run->result.timeline.clear();
   run->result.causal_terminal = -1;
   if (run->arrived.size() < n) {
     run->arrived.resize(n);
@@ -196,11 +245,10 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     run->all_loaded_source = run->causal_root;
   }
 
-  // Item labels are consumed only by the timeline, the trace recorder, and
-  // the causal graph; skip the string building entirely when none of those
-  // is active for this run (the serving hot path).
-  const bool want_names = options.record_timeline || recorder_ != nullptr ||
-                          run->causal_request >= 0;
+  // Operation labels are consumed only by the trace recorder and the causal
+  // graph; skip the string building entirely when neither records this run
+  // (the serving hot path).
+  const bool want_names = recorder_ != nullptr || run->causal_request >= 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     const Layer& layer = model.layer(i);
@@ -254,59 +302,37 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     }
     const GpuId target = p == 0 ? primary : secondaries[Idx(p - 1)];
     run->result.partitions[Idx(p)].pcie_start = 0;
-    const bool record = options.record_timeline;
     // The stored closure must hold only a weak reference to itself: a strong
     // self-capture is a shared_ptr cycle that leaks the closure. Each
     // in-flight fabric completion re-locks a strong reference, so the chain
     // stays alive exactly until it drains.
     auto chain = std::make_shared<std::function<void(std::size_t)>>();
     std::weak_ptr<std::function<void(std::size_t)>> weak_chain = chain;
-    *chain = [this, run, p, target, weak_chain, on_arrival, record](std::size_t k) {
+    *chain = [this, run, p, target, weak_chain, on_arrival](std::size_t k) {
       const auto& items = run->part_items[Idx(p)];
       if (k >= items.size()) {
         return;
       }
       auto self = weak_chain.lock();
       DP_CHECK(self != nullptr);  // the caller holds a strong reference
-      const Nanos op_start = sim_->now() - run->start;
+      const Nanos op_start = sim_->now();
       fabric_->fabric().Start(
           fabric_->HostToGpuPath(target), items[k].bytes,
           perf_->calibration().pcie_transfer_overhead,
-          [this, run, p, k, self, on_arrival, record, target, op_start](Nanos) {
+          [this, run, p, k, self, on_arrival, target, op_start](Nanos) {
             run->result.partitions[Idx(p)].pcie_done = sim_->now() - run->start;
-            if (record) {
-              run->result.timeline.push_back(
-                  TimelineEvent{"load " + run->part_items[Idx(p)][k].name,
-                                "pcie/gpu" + std::to_string(target), op_start,
-                                sim_->now() - run->start - op_start});
-            }
-            if (recorder_ != nullptr) {
-              // Async interval, not a complete slice: another run's chain may
-              // be draining through this PCIe lane at the same time.
-              const std::uint64_t aid = next_async_id_++;
-              const std::string track = "pcie/gpu" + std::to_string(target);
-              const std::string name = "load " + run->part_items[Idx(p)][k].name;
-              recorder_->AsyncBegin(pid_, track, name, aid, run->start + op_start);
-              recorder_->AsyncEnd(pid_, track, name, aid, sim_->now());
-            }
+            const LoadItem& item = run->part_items[Idx(p)][k];
+            const CpNodeId node =
+                RecordOp(run->causal_request, CpKind::kPcie, "load ", item.name,
+                         target, target, op_start, item.bytes);
             if (run->causal_request >= 0) {
-              const LoadItem& item = run->part_items[Idx(p)][k];
-              const CpNodeId node = causal_->AddNode(
-                  run->causal_request, CpKind::kPcie, "load " + item.name,
-                  "pcie/gpu" + std::to_string(target), run->start + op_start,
-                  sim_->now(), item.bytes,
-                  fabric_->fabric().SoloDuration(
-                      fabric_->HostToGpuPath(target), item.bytes,
-                      perf_->calibration().pcie_transfer_overhead));
-              causal_->SetNodePath(node,
-                                   fabric_->CausalHops(fabric_->HostToGpuPath(target)));
               causal_->AddEdge(run->pcie_prev[Idx(p)], node);
               run->pcie_prev[Idx(p)] = node;
               for (const std::size_t li : item.layer_indices) {
                 (p == 0 ? run->layer_source : run->secondary_source)[li] = node;
               }
             }
-            for (const std::size_t li : run->part_items[Idx(p)][k].layer_indices) {
+            for (const std::size_t li : item.layer_indices) {
               if (p == 0) {
                 on_arrival(li, p);
               } else {
@@ -321,7 +347,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
 
   // NVLink migration: forward partitions > 0 from their secondary GPU to the
   // primary, either per layer (parallel-pipeline) or as one bulk transfer.
-  const NvlinkSpec& nvlink = fabric_->topology().nvlink();
+  const Nanos nvlink_latency = fabric_->topology().nvlink().transfer_latency;
   for (int p = 1; p < plan.num_partitions(); ++p) {
     if (run->part_items[Idx(p)].empty()) {
       continue;
@@ -330,7 +356,6 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
     Stream* mig = &run->migration[Idx(p)];
     const GpuId src = secondaries[Idx(p - 1)];
     if (options.migration == MigrationMode::kPipelined) {
-      const bool record = options.record_timeline;
       // Closures reference items by (partition, index): part_items is fully
       // built before any chain starts and never mutated during the run, so
       // indices stay valid and nothing copies the item's label or layer list.
@@ -339,41 +364,19 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
         for (const std::size_t li : run->part_items[Idx(p)][k].layer_indices) {
           mig->EnqueueWait(&run->at_secondary[li]);
         }
-        mig->Enqueue([this, run, p, k, src, primary, nvlink, record,
+        mig->Enqueue([this, run, p, k, src, primary, nvlink_latency,
                       on_arrival](std::function<void()> op_done) {
-          const Nanos op_start = sim_->now() - run->start;
+          const Nanos op_start = sim_->now();
           fabric_->fabric().Start(
               fabric_->GpuToGpuPath(src, primary), run->part_items[Idx(p)][k].bytes,
-              nvlink.transfer_latency,
-              [this, run, p, k, src, primary, nvlink, record, op_start,
-               on_arrival, op_done = std::move(op_done)](Nanos) {
+              nvlink_latency,
+              [this, run, p, k, src, primary, op_start, on_arrival,
+               op_done = std::move(op_done)](Nanos) {
                 const LoadItem& item = run->part_items[Idx(p)][k];
-                if (record) {
-                  run->result.timeline.push_back(TimelineEvent{
-                      "migrate " + item.name,
-                      "nvlink/" + std::to_string(src) + "->" + std::to_string(primary),
-                      op_start, sim_->now() - run->start - op_start});
-                }
-                if (recorder_ != nullptr) {
-                  const std::uint64_t aid = next_async_id_++;
-                  const std::string track =
-                      "nvlink/" + std::to_string(src) + "->" + std::to_string(primary);
-                  recorder_->AsyncBegin(pid_, track, "migrate " + item.name, aid,
-                                        run->start + op_start);
-                  recorder_->AsyncEnd(pid_, track, "migrate " + item.name, aid,
-                                      sim_->now());
-                }
+                const CpNodeId node =
+                    RecordOp(run->causal_request, CpKind::kNvlink, "migrate ",
+                             item.name, src, primary, op_start, item.bytes);
                 if (run->causal_request >= 0) {
-                  const CpNodeId node = causal_->AddNode(
-                      run->causal_request, CpKind::kNvlink, "migrate " + item.name,
-                      "nvlink/" + std::to_string(src) + "->" +
-                          std::to_string(primary),
-                      run->start + op_start, sim_->now(), item.bytes,
-                      fabric_->fabric().SoloDuration(
-                          fabric_->GpuToGpuPath(src, primary), item.bytes,
-                          nvlink.transfer_latency));
-                  causal_->SetNodePath(
-                      node, fabric_->CausalHops(fabric_->GpuToGpuPath(src, primary)));
                   causal_->AddEdge(run->mig_prev[Idx(p)], node);
                   // The migration waited on this item's PCIe delivery to the
                   // secondary GPU (one PCIe node covers the whole item).
@@ -399,25 +402,18 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
         }
         bytes += item.bytes;
       }
-      mig->Enqueue([this, run, p, src, primary, bytes, nvlink,
-                    on_arrival](std::function<void()> op_done) {
-        const Nanos op_start = sim_->now() - run->start;
+      std::string name = want_names ? "bulk p" + std::to_string(p) : std::string();
+      mig->Enqueue([this, run, p, src, primary, bytes, nvlink_latency, on_arrival,
+                    name = std::move(name)](std::function<void()> op_done) {
+        const Nanos op_start = sim_->now();
         fabric_->fabric().Start(
-            fabric_->GpuToGpuPath(src, primary), bytes, nvlink.transfer_latency,
-            [this, run, p, src, primary, bytes, nvlink, op_start, on_arrival,
+            fabric_->GpuToGpuPath(src, primary), bytes, nvlink_latency,
+            [this, run, p, src, primary, bytes, op_start, on_arrival, name,
              op_done = std::move(op_done)](Nanos) {
+              const CpNodeId node = RecordOp(run->causal_request, CpKind::kNvlink,
+                                             "migrate ", name, src, primary,
+                                             op_start, bytes);
               if (run->causal_request >= 0) {
-                const CpNodeId node = causal_->AddNode(
-                    run->causal_request, CpKind::kNvlink,
-                    "migrate bulk p" + std::to_string(p),
-                    "nvlink/" + std::to_string(src) + "->" +
-                        std::to_string(primary),
-                    run->start + op_start, sim_->now(), bytes,
-                    fabric_->fabric().SoloDuration(
-                        fabric_->GpuToGpuPath(src, primary), bytes,
-                        nvlink.transfer_latency));
-                causal_->SetNodePath(
-                    node, fabric_->CausalHops(fabric_->GpuToGpuPath(src, primary)));
                 causal_->AddEdge(run->mig_prev[Idx(p)], node);
                 for (const LoadItem& item : run->part_items[Idx(p)]) {
                   causal_->AddEdge(
@@ -450,43 +446,24 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
       run->exec.EnqueueWait(options.pipelined ? &run->arrived[i]
                                               : &run->all_loaded);
     }
-    const Nanos exec = plan.method(i) == ExecMethod::kDirectHostAccess
-                           ? perf_->ExecDha(layer, options.batch)
+    const bool dha = plan.method(i) == ExecMethod::kDirectHostAccess;
+    const Nanos exec = dha ? perf_->ExecDha(layer, options.batch)
                            : perf_->ExecInMemory(layer, options.batch);
-    if (options.record_timeline || recorder_ != nullptr ||
-        run->causal_request >= 0) {
-      const bool dha = plan.method(i) == ExecMethod::kDirectHostAccess;
-      const bool record = options.record_timeline;
+    if (want_names) {
       const bool pipelined = options.pipelined;
       const Nanos dha_pcie = dha ? perf_->DhaPcieTime(layer, options.batch) : 0;
-      run->exec.Enqueue([this, run, exec, dha, dha_pcie, primary, record, i,
-                         loads, pipelined,
+      run->exec.Enqueue([this, run, exec, dha, dha_pcie, primary, i, loads,
+                         pipelined,
                          name = layer.name](std::function<void()> op_done) {
-        const Nanos op_start = sim_->now() - run->start;
-        sim_->ScheduleAfter(exec, [this, run, op_start, dha, dha_pcie, primary,
-                                   record, i, loads, pipelined, name,
+        const Nanos op_start = sim_->now();
+        sim_->ScheduleAfter(exec, [this, run, op_start, dha, dha_pcie, primary, i,
+                                   loads, pipelined, name,
                                    op_done = std::move(op_done)]() {
-          if (record) {
-            run->result.timeline.push_back(
-                TimelineEvent{(dha ? "exec(DHA) " : "exec ") + name,
-                              "exec/gpu" + std::to_string(primary), op_start,
-                              sim_->now() - run->start - op_start});
-          }
-          if (recorder_ != nullptr) {
-            recorder_->Span(pid_, "exec/gpu" + std::to_string(primary),
-                            (dha ? "exec(DHA) " : "exec ") + name,
-                            run->start + op_start,
-                            sim_->now() - run->start - op_start);
-          }
+          const CpNodeId node =
+              RecordOp(run->causal_request, CpKind::kExec,
+                       dha ? "exec(DHA) " : "exec ", name, primary, primary,
+                       op_start, /*bytes=*/0, dha_pcie);
           if (run->causal_request >= 0) {
-            const CpNodeId node = causal_->AddNode(
-                run->causal_request, CpKind::kExec,
-                (dha ? "exec(DHA) " : "exec ") + name,
-                "exec/gpu" + std::to_string(primary), run->start + op_start,
-                sim_->now());
-            if (dha_pcie > 0) {
-              causal_->SetNodeDhaPcie(node, dha_pcie);
-            }
             causal_->AddEdge(run->last_exec, node);
             if (loads) {
               causal_->AddEdge(pipelined ? run->layer_source[i]

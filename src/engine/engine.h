@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/core/plan.h"
@@ -24,7 +25,6 @@
 #include "src/perf/perf_model.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
-#include "src/util/chrome_trace.h"
 #include "src/util/time.h"
 
 namespace deepplan {
@@ -76,9 +76,6 @@ struct InferenceResult {
   Nanos load_done = 0;   // all parameters resident on the primary GPU
   bool cold = false;
   std::vector<PartitionStats> partitions;
-  // Per-operation timeline (only populated when ColdRunOptions.record_timeline
-  // is set); exportable via ChromeTraceWriter.
-  std::vector<TimelineEvent> timeline;
   // Last exec node recorded in the causal graph (-1 unless a graph was
   // attached and ColdRunOptions.causal_request was set); the caller passes it
   // to CausalGraph::EndRequest as the request's terminal node.
@@ -91,9 +88,6 @@ struct ColdRunOptions {
   // is resident.
   bool pipelined = true;
   MigrationMode migration = MigrationMode::kPipelined;
-  // Record a per-operation timeline into InferenceResult::timeline (costs a
-  // few allocations per layer; off in the serving hot path).
-  bool record_timeline = false;
   // Consecutive parameterized layers coalesced into one PCIe transfer.
   // 1 = per-layer transmission (the paper's framing); larger groups amortize
   // the per-copy DMA setup like PipeSwitch's transmission groups, at the
@@ -118,12 +112,12 @@ class Engine {
   Engine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf);
   ~Engine();
 
-  // Attaches a trace recorder: every cold-run load/migrate/exec operation is
-  // then recorded as a span in *absolute* simulation time (track names match
-  // the per-run timeline: "pcie/gpu<g>", "nvlink/<a>-><b>", "exec/gpu<g>"),
-  // so one recorder covers all GPUs and requests of a whole server run —
-  // independent of ColdRunOptions::record_timeline, which stays per-run and
-  // run-relative. nullptr detaches; the disabled cost is one pointer test.
+  // Attaches a trace recorder: every cold-run load, migrate (pipelined or
+  // bulk) and exec operation is then recorded in *absolute* simulation time
+  // on tracks "pcie/gpu<g>", "nvlink/<a>-><b>" and "exec/gpu<g>" — transfers
+  // as async intervals, layer executions as spans — so one recorder covers
+  // all GPUs and requests of a whole server run. nullptr detaches; the
+  // disabled cost is one pointer test per operation.
   void set_telemetry(TraceRecorder* recorder, int pid = 0);
 
   // Attaches a causal graph: cold runs whose options carry a causal_request
@@ -164,6 +158,18 @@ class Engine {
                         int batch) const;
 
  private:
+  // Records one finished cold-run operation, [start, now] in absolute time,
+  // to every attached sink: the trace recorder (async interval for kPcie and
+  // kNvlink, span for kExec) and, when `causal_request` >= 0, the causal
+  // graph. Label ("<verb><name>") and track ("pcie/gpu<to>",
+  // "nvlink/<from>-><to>", "exec/gpu<to>") are built once, and only when a
+  // sink records; transfer solo durations and routes are computed only for
+  // the causal graph. Returns the causal node (-1 when none is recorded) so
+  // the caller can wire its happens-before edges.
+  CpNodeId RecordOp(int causal_request, CpKind kind, std::string_view verb,
+                    std::string_view name, GpuId from, GpuId to, Nanos start,
+                    std::int64_t bytes = 0, Nanos dha_pcie = 0);
+
   Simulator* sim_;
   ServerFabric* fabric_;
   const PerfModel* perf_;

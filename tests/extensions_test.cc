@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "src/core/plan_repository.h"
 #include "src/deepplan.h"
@@ -251,6 +254,33 @@ TEST(PlanRepositoryTest, MissingKeyAndCorruptFile) {
 
 // ---------------------------------------------------------------- timeline
 
+// A cold run's load/migrate/exec operations as the attached trace recorder
+// holds them: exec spans, and load/migrate async begin/end pairs joined by id.
+struct Interval {
+  std::string name;
+  std::string track;
+  Nanos start = 0;
+  Nanos end = 0;
+};
+
+std::vector<Interval> EngineIntervals(const TraceDocument& doc) {
+  std::vector<Interval> out;
+  std::map<std::uint64_t, const TraceEvent*> open;
+  for (const TraceEvent& e : doc.events) {
+    if (e.phase == TracePhase::kSpan) {
+      out.push_back(Interval{e.name, e.track, e.ts, e.ts + e.duration});
+    } else if (e.phase == TracePhase::kAsyncBegin) {
+      open[e.id] = &e;
+    } else if (e.phase == TracePhase::kAsyncEnd) {
+      const TraceEvent* begin = open.at(e.id);
+      out.push_back(Interval{begin->name, begin->track, begin->ts, e.ts});
+      open.erase(e.id);
+    }
+  }
+  EXPECT_TRUE(open.empty()) << "unpaired async begins";
+  return out;
+}
+
 TEST(TimelineTest, RecordingCapturesLoadsMigrationsAndExecs) {
   const Topology topology = Topology::P3_8xlarge();
   const PerfModel perf(topology.gpu(), topology.pcie());
@@ -260,32 +290,32 @@ TEST(TimelineTest, RecordingCapturesLoadsMigrationsAndExecs) {
   Simulator sim;
   ServerFabric fabric(&sim, &topology);
   Engine engine(&sim, &fabric, &perf);
-  ColdRunOptions options;
-  options.record_timeline = true;
+  TraceRecorder recorder(/*enabled=*/true);
+  engine.set_telemetry(&recorder, recorder.RegisterProcess("cold start"));
   InferenceResult result;
-  engine.RunCold(model, plan, 0, {2}, options,
+  engine.RunCold(model, plan, 0, {2}, ColdRunOptions{},
                  [&](const InferenceResult& r) { result = r; });
   sim.Run();
-  ASSERT_FALSE(result.timeline.empty());
+  const std::vector<Interval> intervals = EngineIntervals(recorder.document());
+  ASSERT_FALSE(intervals.empty());
   bool saw_load = false;
   bool saw_migrate = false;
   bool saw_exec = false;
-  for (const TimelineEvent& e : result.timeline) {
+  std::size_t execs = 0;
+  for (const Interval& e : intervals) {
+    // The run starts at simulated time 0, so absolute times are run-relative.
     EXPECT_GE(e.start, 0);
-    EXPECT_GE(e.duration, 0);
-    EXPECT_LE(e.start + e.duration, result.latency);
+    EXPECT_GE(e.end, e.start);
+    EXPECT_LE(e.end, result.latency);
     saw_load |= e.track.rfind("pcie/", 0) == 0;
     saw_migrate |= e.track.rfind("nvlink/", 0) == 0;
     saw_exec |= e.track.rfind("exec/", 0) == 0;
+    execs += e.track.rfind("exec/", 0) == 0 ? 1 : 0;
   }
   EXPECT_TRUE(saw_load);
   EXPECT_TRUE(saw_migrate);
   EXPECT_TRUE(saw_exec);
   // Exactly one exec event per layer.
-  std::size_t execs = 0;
-  for (const TimelineEvent& e : result.timeline) {
-    execs += e.track.rfind("exec/", 0) == 0 ? 1 : 0;
-  }
   EXPECT_EQ(execs, model.num_layers());
 }
 
@@ -300,23 +330,27 @@ TEST(TimelineTest, RecordingDoesNotChangeLatency) {
     Simulator sim;
     ServerFabric fabric(&sim, &topology);
     Engine engine(&sim, &fabric, &perf);
-    ColdRunOptions options;
-    options.record_timeline = recording == 1;
+    TraceRecorder recorder(/*enabled=*/true);
+    if (recording == 1) {
+      engine.set_telemetry(&recorder, recorder.RegisterProcess("cold start"));
+    }
     InferenceResult result;
-    engine.RunCold(model, plan, 0, {}, options,
+    engine.RunCold(model, plan, 0, {}, ColdRunOptions{},
                    [&](const InferenceResult& r) { result = r; });
     sim.Run();
     latency[recording] = result.latency;
+    EXPECT_EQ(recorder.empty(), recording == 0);
   }
   EXPECT_EQ(latency[0], latency[1]);
 }
 
 TEST(ChromeTraceTest, JsonIsWellFormedAndEscaped) {
-  std::vector<TimelineEvent> events = {
-      {"load \"emb\"", "pcie/gpu0", Micros(1), Micros(10)},
-      {"exec emb", "exec/gpu0", Micros(11), Micros(5)},
+  TraceDocument doc;
+  doc.events = {
+      {TracePhase::kSpan, 0, "pcie/gpu0", "load \"emb\"", Micros(1), Micros(10)},
+      {TracePhase::kSpan, 0, "exec/gpu0", "exec emb", Micros(11), Micros(5)},
   };
-  const std::string json = ChromeTraceWriter::ToJson(events);
+  const std::string json = ChromeTraceWriter::ToJson(doc);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("load \\\"emb\\\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -326,7 +360,9 @@ TEST(ChromeTraceTest, JsonIsWellFormedAndEscaped) {
 
 TEST(ChromeTraceTest, WriteToFile) {
   const std::string path = ::testing::TempDir() + "/trace_test.json";
-  EXPECT_TRUE(ChromeTraceWriter::WriteTo(path, {{"a", "t", 0, 10}}));
+  TraceDocument doc;
+  doc.events = {{TracePhase::kSpan, 0, "t", "a", 0, 10}};
+  EXPECT_TRUE(ChromeTraceWriter::WriteTo(path, doc));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::remove(path.c_str());

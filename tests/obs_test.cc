@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <new>
+#include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,6 +22,7 @@
 #include "src/obs/journal_stream.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace_recorder.h"
+#include "src/serving/server.h"
 #include "src/util/chrome_trace.h"
 #include "tests/json_checker.h"
 
@@ -329,12 +335,13 @@ TEST(CausalGraphTest, DisabledGraphAllocatesNothing) {
 // One PT+DHA cold start on the 2-GPU A5000 box with telemetry attached: the
 // golden path of the observability stack. The exported document must be
 // valid, Perfetto-loadable (metadata + spans + counters) and byte-stable.
+// With a causal graph the run also records its nodes there.
 class ColdStartTraceTest : public ::testing::Test {
  protected:
-  static std::string RunOnce(TraceRecorder* out_recorder,
-                             MetricsRegistry* out_registry,
-                             bool record_timeline,
-                             std::vector<TimelineEvent>* out_timeline) {
+  static std::string RunOnce(
+      TraceRecorder* out_recorder, MetricsRegistry* out_registry,
+      CausalGraph* graph = nullptr,
+      ColdRunOptions options = MakeColdRunOptions(Strategy::kDeepPlanPtDha)) {
     const Topology topology = Topology::A5000Box();
     const PerfModel perf(topology.gpu(), topology.pcie());
     Simulator sim;
@@ -346,6 +353,11 @@ class ColdStartTraceTest : public ::testing::Test {
     const int pid = recorder->RegisterProcess("PT+DHA cold start");
     engine.set_telemetry(recorder, pid);
     fabric.fabric().set_telemetry(recorder, out_registry, pid);
+    if (graph != nullptr) {
+      engine.set_causal(graph);
+      options.causal_request =
+          graph->BeginRequest(graph->RegisterProcess("PT+DHA cold start"), 0, 0);
+    }
 
     const Model model = ModelZoo::BertBase();
     ProfilerOptions popts;
@@ -356,17 +368,12 @@ class ColdStartTraceTest : public ::testing::Test {
     PipelineOptions pipeline;
     pipeline.nvlink = topology.nvlink();
     const ExecutionPlan plan = MakeStrategyPlan(strategy, profile, degree, pipeline);
-    ColdRunOptions options = MakeColdRunOptions(strategy);
-    options.record_timeline = record_timeline;
     InferenceResult result;
     engine.RunCold(model, plan, /*primary=*/0,
                    TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
                    options, [&](const InferenceResult& r) { result = r; });
     sim.Run();
     EXPECT_GT(result.latency, 0);
-    if (out_timeline != nullptr) {
-      *out_timeline = result.timeline;
-    }
     return recorder->ToJson();
   }
 };
@@ -374,8 +381,7 @@ class ColdStartTraceTest : public ::testing::Test {
 TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
   TraceRecorder recorder(/*enabled=*/true);
   MetricsRegistry registry;
-  const std::string json = RunOnce(&recorder, &registry,
-                                   /*record_timeline=*/false, nullptr);
+  const std::string json = RunOnce(&recorder, &registry);
   EXPECT_FALSE(recorder.empty());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   // Per-GPU PCIe load tracks (PT splits the model over both GPUs), the
@@ -393,41 +399,145 @@ TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
 }
 
 TEST_F(ColdStartTraceTest, IdenticalRunsExportIdenticalBytes) {
-  const std::string a = RunOnce(nullptr, nullptr, false, nullptr);
-  const std::string b = RunOnce(nullptr, nullptr, false, nullptr);
+  const std::string a = RunOnce(nullptr, nullptr);
+  const std::string b = RunOnce(nullptr, nullptr);
   EXPECT_EQ(a, b);
 }
 
-TEST_F(ColdStartTraceTest, RecorderMirrorsTimelineWithoutRecordingIt) {
-  // The recorder re-emits the engine's per-operation timeline even when the
-  // per-run InferenceResult timeline stays off; interval counts must agree.
-  // Exec operations export as complete slices; load/migrate intervals export
-  // as async begin/end pairs (they may overlap across concurrent runs).
-  std::vector<TimelineEvent> timeline;
-  RunOnce(nullptr, nullptr, /*record_timeline=*/true, &timeline);
-  ASSERT_FALSE(timeline.empty());
+// -------------------------------------------------- one record per operation
 
+// (label, track, start, end) of one engine operation in absolute time.
+using OpKey = std::tuple<std::string, std::string, Nanos, Nanos>;
+
+// The ColdStartTraceTest run under each migration mode, pipelined and
+// Baseline-gated, with both sinks attached: the trace's load/migrate/exec
+// intervals and the causal graph's transfer/exec nodes must be the same set
+// of operations, one to one.
+class EngineRecordingTest
+    : public ColdStartTraceTest,
+      public ::testing::WithParamInterface<std::tuple<MigrationMode, bool>> {};
+
+TEST_P(EngineRecordingTest, EveryTraceIntervalMatchesOneCausalNode) {
+  const auto [migration, pipelined] = GetParam();
+  ColdRunOptions options = MakeColdRunOptions(Strategy::kDeepPlanPtDha);
+  options.migration = migration;
+  options.pipelined = pipelined;
   TraceRecorder recorder(/*enabled=*/true);
-  std::vector<TimelineEvent> no_timeline;
-  RunOnce(&recorder, nullptr, /*record_timeline=*/false, &no_timeline);
-  EXPECT_TRUE(no_timeline.empty());
-  std::size_t intervals = 0;
-  std::size_t async_begins = 0;
-  std::size_t async_ends = 0;
-  for (const TraceEvent& e : recorder.document().events) {
-    if (e.phase == TracePhase::kSpan || e.phase == TracePhase::kAsyncBegin) {
-      ++intervals;
-    }
-    if (e.phase == TracePhase::kAsyncBegin) {
-      ++async_begins;
-    }
-    if (e.phase == TracePhase::kAsyncEnd) {
-      ++async_ends;
+  CausalGraph graph(/*enabled=*/true);
+  RunOnce(&recorder, nullptr, &graph, options);
+
+  std::multiset<OpKey> nodes;
+  for (const CpNode& n : graph.nodes()) {
+    if (n.kind != CpKind::kArrival) {
+      nodes.insert(OpKey{n.label, n.resource, n.start, n.end});
     }
   }
-  EXPECT_GT(async_begins, 0u);  // the PT plan always streams some layers
-  EXPECT_EQ(async_begins, async_ends);
-  EXPECT_EQ(intervals, timeline.size());
+  std::map<std::uint64_t, TraceEvent> open;
+  std::vector<OpKey> intervals;
+  for (const TraceEvent& e : recorder.document().events) {
+    if (e.phase == TracePhase::kSpan) {
+      intervals.push_back(OpKey{e.name, e.track, e.ts, e.ts + e.duration});
+    } else if (e.phase == TracePhase::kAsyncBegin) {
+      EXPECT_TRUE(open.emplace(e.id, e).second) << "reused async id " << e.id;
+    } else if (e.phase == TracePhase::kAsyncEnd) {
+      const auto begin = open.find(e.id);
+      ASSERT_NE(begin, open.end()) << "unpaired async end " << e.name;
+      EXPECT_EQ(begin->second.name, e.name);
+      EXPECT_EQ(begin->second.track, e.track);
+      intervals.push_back(OpKey{e.name, e.track, begin->second.ts, e.ts});
+      open.erase(begin);
+    }
+  }
+  EXPECT_TRUE(open.empty());
+
+  std::size_t loads = 0;
+  std::size_t migrations = 0;
+  std::size_t execs = 0;
+  for (const OpKey& op : intervals) {
+    const std::string& track = std::get<1>(op);
+    loads += track.rfind("pcie/", 0) == 0 ? 1 : 0;
+    migrations += track.rfind("nvlink/", 0) == 0 ? 1 : 0;
+    execs += track.rfind("exec/", 0) == 0 ? 1 : 0;
+    const auto node = nodes.find(op);
+    ASSERT_NE(node, nodes.end())
+        << "trace interval without a causal node: " << std::get<0>(op) << " on "
+        << track;
+    nodes.erase(node);
+  }
+  EXPECT_GT(loads, 0u);
+  EXPECT_GT(migrations, 0u);
+  EXPECT_EQ(execs, ModelZoo::BertBase().num_layers());
+  EXPECT_EQ(loads + migrations + execs, intervals.size());
+  EXPECT_TRUE(nodes.empty())
+      << nodes.size() << " causal nodes without a trace interval, e.g. "
+      << std::get<0>(*nodes.begin()) << " on " << std::get<1>(*nodes.begin());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MigrationModes, EngineRecordingTest,
+    ::testing::Combine(::testing::Values(MigrationMode::kPipelined,
+                                         MigrationMode::kBulk),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == MigrationMode::kBulk
+                             ? "Bulk"
+                             : "PipelinedMigration") +
+             (std::get<1>(info.param) ? "_PipelinedExec" : "_Baseline");
+    });
+
+// ---------------------------------------------------------------- goldens
+
+// Byte-exact pins of two traced runs under tests/golden/. A mismatch writes
+// the new bytes next to the test's temp files and names the first differing
+// offset; copy that file over the golden only when the change is intended.
+void ExpectMatchesGolden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(DP_TEST_GOLDEN_DIR) + "/" + name;
+  std::stringstream golden;
+  golden << std::ifstream(path, std::ios::binary).rdbuf();  // empty if missing
+  const std::string expected = golden.str();
+  if (actual == expected) {
+    return;
+  }
+  const auto diverge = std::mismatch(expected.begin(), expected.end(),
+                                     actual.begin(), actual.end());
+  const std::string out = ::testing::TempDir() + "/" + name;
+  std::ofstream(out, std::ios::binary) << actual;
+  ADD_FAILURE() << name << " differs from " << path << " at byte "
+                << (diverge.first - expected.begin()) << " (golden "
+                << expected.size() << " bytes, actual " << actual.size()
+                << "); actual output written to " << out;
+}
+
+TEST_F(ColdStartTraceTest, TwoGpuTraceMatchesGoldenBytes) {
+  ExpectMatchesGolden("coldstart_a5000_pt_dha.trace.json",
+                      RunOnce(nullptr, nullptr));
+}
+
+// A PT+DHA server on the 4-GPU P3 box with room for one single-layer encoder
+// instance per GPU: the first four requests evict and cold-start side by side
+// through shared PCIe uplinks and NVLink, the last one runs warm. Trace
+// recorder and causal graph are both attached, so the engine emits to both.
+TEST(ServerTraceGoldenTest, OverlappingColdStartsMatchGoldenBytes) {
+  const Topology topology = Topology::P3_8xlarge();
+  const PerfModel perf(topology.gpu(), topology.pcie());
+  ServerOptions options;
+  options.usable_bytes_per_gpu = 40'000'000;
+  Server server(topology, perf, options);
+  const int type = server.RegisterModelType(
+      ModelZoo::TransformerEncoder("encoder_1l", 30522, 768, 1, 3072, 384));
+  server.AddInstances(type, 8);
+  TraceRecorder recorder(/*enabled=*/true);
+  server.set_telemetry(&recorder, nullptr, recorder.RegisterProcess("server"));
+  CausalGraph graph(/*enabled=*/true);
+  server.set_causal(&graph, graph.RegisterProcess("serve"));
+  const ServingMetrics metrics = server.Run(Trace({{0, 4},
+                                                   {0, 5},
+                                                   {Micros(50), 6},
+                                                   {Micros(50), 7},
+                                                   {Millis(40), 4}}));
+  ASSERT_EQ(metrics.count(), 5u);
+  ExpectMatchesGolden("server_overlapping_cold.trace.json", recorder.ToJson());
+  ExpectMatchesGolden("server_overlapping_cold.causal.json", graph.ToJson());
 }
 
 TEST(FabricTelemetryTest, ContendedLinkEmitsChangingCounterSamples) {

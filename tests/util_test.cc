@@ -330,26 +330,28 @@ TEST(JsonTest, ObjectsKeepInsertionOrderAndNest) {
 
 using testutil::JsonChecker;
 
-std::vector<TimelineEvent> SampleTimeline() {
-  return {
-      {"embedding", "pcie/gpu0", Micros(1500), Millis(2)},
-      {"layer \"0\"", "exec", 1500, 2500},  // 1.5 us / 2.5 us: sub-us precision
-      {"fwd\\path", "nvlink", Millis(1), Micros(250)},
+TraceDocument SampleDocument() {
+  TraceDocument doc;
+  doc.events = {
+      {TracePhase::kSpan, 0, "pcie/gpu0", "embedding", Micros(1500), Millis(2)},
+      // 1.5 us / 2.5 us: sub-us precision
+      {TracePhase::kSpan, 0, "exec", "layer \"0\"", 1500, 2500},
+      {TracePhase::kSpan, 0, "nvlink", "fwd\\path", Millis(1), Micros(250)},
   };
+  return doc;
 }
 
 TEST(ChromeTraceTest, EmittedJsonParses) {
-  const std::string json = ChromeTraceWriter::ToJson(SampleTimeline());
+  const std::string json = ChromeTraceWriter::ToJson(SampleDocument());
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  // Also parses for an empty timeline.
-  const std::string empty =
-      ChromeTraceWriter::ToJson(std::vector<TimelineEvent>{});
+  // Also parses for an empty document.
+  const std::string empty = ChromeTraceWriter::ToJson(TraceDocument{});
   EXPECT_TRUE(JsonChecker(empty).Valid()) << empty;
   EXPECT_NE(empty.find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(ChromeTraceTest, UsesMicrosecondTimestamps) {
-  const std::string json = ChromeTraceWriter::ToJson(SampleTimeline());
+  const std::string json = ChromeTraceWriter::ToJson(SampleDocument());
   // Micros(1500) start / Millis(2) duration render as 1500 us / 2000 us.
   EXPECT_NE(json.find("\"ts\":1500,\"dur\":2000"), std::string::npos) << json;
   // 1500 ns / 2500 ns keep sub-microsecond precision as fractional us.
@@ -357,7 +359,7 @@ TEST(ChromeTraceTest, UsesMicrosecondTimestamps) {
 }
 
 TEST(ChromeTraceTest, RoundTripsTrackAndNameFields) {
-  const std::string json = ChromeTraceWriter::ToJson(SampleTimeline());
+  const std::string json = ChromeTraceWriter::ToJson(SampleDocument());
   // Event names round-trip, with quotes and backslashes escaped.
   EXPECT_NE(json.find("\"name\":\"embedding\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"layer \\\"0\\\"\""), std::string::npos);
@@ -370,16 +372,15 @@ TEST(ChromeTraceTest, RoundTripsTrackAndNameFields) {
 }
 
 TEST(ChromeTraceTest, WriteToRoundTripsAndReportsIoFailure) {
-  const std::vector<TimelineEvent> events = SampleTimeline();
+  const TraceDocument doc = SampleDocument();
   const std::string path = ::testing::TempDir() + "/chrome_trace_test.json";
-  ASSERT_TRUE(ChromeTraceWriter::WriteTo(path, events));
+  ASSERT_TRUE(ChromeTraceWriter::WriteTo(path, doc));
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  EXPECT_EQ(buffer.str(), ChromeTraceWriter::ToJson(events));
-  EXPECT_FALSE(
-      ChromeTraceWriter::WriteTo("/nonexistent-dir/trace.json", events));
+  EXPECT_EQ(buffer.str(), ChromeTraceWriter::ToJson(doc) + "\n");
+  EXPECT_FALSE(ChromeTraceWriter::WriteTo("/nonexistent-dir/trace.json", doc));
 }
 
 }  // namespace
