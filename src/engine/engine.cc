@@ -93,6 +93,7 @@ struct ColdRun {
   std::vector<Stream> migration;  // per partition (index 0 unused)
   std::vector<std::vector<LoadItem>> part_items;
   int pending_arrivals = 0;
+  int pending_transfers = 0;  // fabric transfers not yet finished
   // Causal-graph cursors (only populated when the run records profiling
   // nodes): chains thread happens-before edges through these.
   int causal_request = -1;
@@ -105,9 +106,73 @@ struct ColdRun {
   CpNodeId all_loaded_source = -1;  // node whose arrival fired all_loaded
 };
 
+// A memoized isolated cold run. The key is the run's full value (model,
+// plan, options, GPUs), compared by content: the caller's objects may move.
+// The value is what the run produces and when its last transfer leaves the
+// fabric, both relative to the run's start.
+struct ColdTemplate {
+  Model model;
+  ExecutionPlan plan;
+  GpuId primary = 0;
+  std::vector<GpuId> secondaries;
+  ColdRunOptions options;  // causal fields cleared
+  InferenceResult result;
+  Nanos fabric_end = -1;  // -1: the run issues no transfer
+  // The fabric's registry counters for the run, credited when a registry
+  // is attached and the run completes without a catch-up.
+  std::int64_t fabric_transfers = 0;
+  std::int64_t fabric_bytes = 0;
+};
+
+// A fast-forwarded run in flight.
+struct FastForwardRun {
+  const ColdTemplate* tmpl = nullptr;
+  Nanos start = 0;
+  std::uint64_t start_seq = 0;  // schedule position at RunCold
+  std::function<void(InferenceResult)> done;
+  EventQueue::EventId completion = 0;
+};
+
+namespace {
+
+bool SameLayer(const Layer& a, const Layer& b) {
+  return a.name == b.name && a.kind == b.kind && a.param_bytes == b.param_bytes &&
+         a.flops == b.flops && a.act_bytes == b.act_bytes &&
+         a.dha_param_traffic_bytes == b.dha_param_traffic_bytes &&
+         a.dha_traffic_scales_with_batch == b.dha_traffic_scales_with_batch;
+}
+
+bool SameKey(const ColdTemplate& t, const Model& model, const ExecutionPlan& plan,
+             GpuId primary, const std::vector<GpuId>& secondaries,
+             const ColdRunOptions& options) {
+  if (t.primary != primary || t.secondaries != secondaries ||
+      t.options.batch != options.batch ||
+      t.options.pipelined != options.pipelined ||
+      t.options.migration != options.migration ||
+      t.options.transfer_group_layers != options.transfer_group_layers ||
+      t.model.num_layers() != model.num_layers() ||
+      t.plan.num_partitions() != plan.num_partitions() ||
+      t.model.ref_tokens() != model.ref_tokens() ||
+      t.model.name() != model.name() || t.plan.model_name() != plan.model_name()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < model.num_layers(); ++i) {
+    if (t.plan.method(i) != plan.method(i) ||
+        t.plan.partition(i) != plan.partition(i) ||
+        !SameLayer(t.model.layer(i), model.layer(i))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 }  // namespace engine_internal
 
 using engine_internal::ColdRun;
+using engine_internal::ColdTemplate;
+using engine_internal::FastForwardRun;
 using engine_internal::LoadItem;
 
 // Pool of reusable ColdRun records plus the deferred-release list. A run
@@ -119,6 +184,11 @@ using engine_internal::LoadItem;
 struct EngineScratch {
   ObjectPool<ColdRun> pool;
   std::vector<ColdRun*> retired;
+  std::vector<std::unique_ptr<ColdTemplate>> templates;
+  ObjectPool<FastForwardRun> fast_forwards;
+  // Fabric a completion-time catch-up replays on, so it never disturbs
+  // transfers that started on the real fabric after the run's last one left.
+  std::unique_ptr<ServerFabric> replay_fabric;
 };
 
 Engine::Engine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf)
@@ -188,8 +258,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   // Times the synchronous DAG construction (per-layer op enqueues); the ops
   // themselves execute later under sim.dispatch / exec.stream.
   DP_SELFPROF_SCOPE(kColdStart);
-  const std::size_t n = model.num_layers();
-  DP_CHECK(plan.num_layers() == n);
+  DP_CHECK(plan.num_layers() == model.num_layers());
   DP_CHECK(static_cast<int>(secondaries.size()) >= plan.num_partitions() - 1);
 
   // Recycle runs that retired since the last call (see EngineScratch).
@@ -198,6 +267,169 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   }
   scratch_->retired.clear();
 
+  // Runs that record anything go event by event, so traces and journals keep
+  // their node order.
+  const bool records = recorder_ != nullptr ||
+                       (causal_ != nullptr && causal_->enabled() &&
+                        options.causal_request >= 0) ||
+                       fabric_->fabric().has_recorder();
+  if (fast_forward_ && !records) {
+    const ColdTemplate& tmpl =
+        TemplateFor(model, plan, primary, secondaries, options);
+    // A run without transfers never touches the fabric. The completion must
+    // come strictly after the last transfer leaves, so that no catch-up at
+    // completion ever holds one of the fabric's events.
+    if (tmpl.fabric_end < 0 ||
+        (tmpl.result.latency > tmpl.fabric_end && FabricIdle())) {
+      FastForward(tmpl, std::move(done));
+      return;
+    }
+  }
+  StartCold(model, plan, primary, secondaries, options, std::move(done));
+}
+
+bool Engine::FabricIdle() const {
+  const Fabric& fabric = fabric_->fabric();
+  return fabric_runs_ == 0 && fabric.active_transfers() == 0 &&
+         !fabric.reserved();
+}
+
+const ColdTemplate& Engine::TemplateFor(const Model& model,
+                                        const ExecutionPlan& plan, GpuId primary,
+                                        const std::vector<GpuId>& secondaries,
+                                        const ColdRunOptions& options) {
+  for (const std::unique_ptr<ColdTemplate>& t : scratch_->templates) {
+    if (engine_internal::SameKey(*t, model, plan, primary, secondaries, options)) {
+      return *t;
+    }
+  }
+  // First miss: run the cold start alone on a private simulator and fabric.
+  // Fabric and engine arithmetic use only time differences, so the result
+  // holds for the same run started at any time on an idle fabric.
+  auto tmpl = std::make_unique<ColdTemplate>();
+  tmpl->model = model;
+  tmpl->plan = plan;
+  tmpl->primary = primary;
+  tmpl->secondaries = secondaries;
+  tmpl->options = options;
+  tmpl->options.causal_request = -1;
+  tmpl->options.causal_root = -1;
+  // Charged to the enclosing engine.cold_start scope as time only: the
+  // private run's events and solves are not the profiled simulation's.
+  const selfprof::SuspendLane suspend;
+  Simulator sim;
+  ServerFabric fabric(&sim, &fabric_->topology());
+  MetricsRegistry registry;
+  fabric.fabric().set_telemetry(nullptr, &registry);
+  Engine engine(&sim, &fabric, perf_);
+  engine.fast_forward_ = false;
+  bool finished = false;
+  engine.RunCold(model, plan, primary, secondaries, tmpl->options,
+                 [&](const InferenceResult& result) {
+                   tmpl->result = result;
+                   finished = true;
+                 });
+  sim.Run();
+  DP_CHECK(finished);
+  tmpl->fabric_end = fabric.fabric().last_departure();
+  tmpl->fabric_transfers = registry.counter("fabric.transfers");
+  tmpl->fabric_bytes = registry.counter("fabric.bytes");
+  scratch_->templates.push_back(std::move(tmpl));
+  return *scratch_->templates.back();
+}
+
+void Engine::FastForward(const ColdTemplate& tmpl,
+                         std::function<void(InferenceResult)> done) {
+  selfprof::AddCount(selfprof::Counter::kColdFastForward, 1);
+  FastForwardRun* ff = scratch_->fast_forwards.Acquire();
+  ff->tmpl = &tmpl;
+  ff->start = sim_->now();
+  ff->start_seq = sim_->next_seq();
+  ff->done = std::move(done);
+  sim_->HoldDispatchLog(ff->start);
+  if (tmpl.fabric_end >= 0) {
+    fabric_->fabric().Reserve(ff->start + tmpl.fabric_end,
+                              [this, ff]() { Materialize(ff, /*join=*/true); });
+  }
+  ff->completion = sim_->ScheduleAt(ff->start + tmpl.result.latency,
+                                    [this, ff]() { FinishFastForward(ff); });
+}
+
+void Engine::FinishFastForward(FastForwardRun* ff) {
+  Fabric& fabric = fabric_->fabric();
+  if (!fabric.reserved()) {
+    fabric.ReleaseReservation();  // ours, expired (or none)
+  }
+  // The completion event stands in for the run's last exec event. Anything
+  // else due at this instant may belong before or after that event, so the
+  // run is replayed to find its exact position (same-ns tie rule).
+  const EventQueue& queue = sim_->event_queue();
+  if (!queue.empty() && queue.NextTime() == sim_->now()) {
+    Materialize(ff, /*join=*/false);
+    return;
+  }
+  CreditFabricCounters(*ff->tmpl);
+  const InferenceResult result = ff->tmpl->result;
+  std::function<void(InferenceResult)> done = std::move(ff->done);
+  sim_->ReleaseDispatchLog(ff->start);
+  scratch_->fast_forwards.Release(ff);
+  done(result);
+}
+
+void Engine::CreditFabricCounters(const ColdTemplate& tmpl) {
+  MetricsRegistry* registry = fabric_->fabric().registry();
+  if (registry != nullptr && tmpl.fabric_transfers > 0) {
+    registry->AddCounter("fabric.transfers", tmpl.fabric_transfers);
+    registry->AddCounter("fabric.bytes", tmpl.fabric_bytes);
+  }
+}
+
+void Engine::Materialize(FastForwardRun* ff, bool join) {
+  selfprof::AddCount(selfprof::Counter::kColdMaterialized, 1);
+  const ColdTemplate& tmpl = *ff->tmpl;
+  ServerFabric* const real_fabric = fabric_;
+  if (join) {
+    sim_->Cancel(ff->completion);
+  } else {
+    CreditFabricCounters(tmpl);  // the replay below runs on a private fabric
+    if (scratch_->replay_fabric == nullptr) {
+      scratch_->replay_fabric =
+          std::make_unique<ServerFabric>(sim_, &fabric_->topology());
+    }
+    fabric_ = scratch_->replay_fabric.get();
+  }
+  std::function<void(InferenceResult)> done = std::move(ff->done);
+  sim_->CatchUp(
+      ff->start, ff->start_seq,
+      join ? Simulator::CatchUpUntil::kCurrentDispatch
+           : Simulator::CatchUpUntil::kBeforeNow,
+      [&]() {
+        StartCold(tmpl.model, tmpl.plan, tmpl.primary, tmpl.secondaries,
+                  tmpl.options, std::move(done));
+      },
+      [&]() {
+        // The joining Start's reallocation re-issues these, exactly as the
+        // event-by-event run does at this instant.
+        if (join) {
+          fabric_->fabric().DropCompletionEvents();
+        }
+      });
+  fabric_ = real_fabric;
+  sim_->ReleaseDispatchLog(ff->start);
+  scratch_->fast_forwards.Release(ff);
+}
+
+void Engine::OnTransferDone(ColdRun* run) {
+  if (--run->pending_transfers == 0) {
+    --fabric_runs_;
+  }
+}
+
+void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
+                       GpuId primary, const std::vector<GpuId>& secondaries,
+                       const ColdRunOptions& options,
+                       std::function<void(InferenceResult)> done) {
+  const std::size_t n = model.num_layers();
   ColdRun* run = scratch_->pool.Acquire();
   const std::size_t parts = Idx(plan.num_partitions());
   run->start = sim_->now();
@@ -276,6 +508,18 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   if (run->pending_arrivals == 0) {
     run->all_loaded.Fire();
   }
+  run->pending_transfers = 0;
+  for (std::size_t p = 0; p < parts; ++p) {
+    const int items = static_cast<int>(run->part_items[p].size());
+    run->pending_transfers += items;
+    if (p > 0 && items > 0) {
+      run->pending_transfers +=
+          options.migration == MigrationMode::kPipelined ? items : 1;
+    }
+  }
+  if (run->pending_transfers > 0) {
+    ++fabric_runs_;
+  }
 
   auto on_arrival = [this, run](std::size_t layer_index, int partition) {
     run->arrived[layer_index].Fire();
@@ -339,6 +583,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
                 run->at_secondary[li].Fire();
               }
             }
+            OnTransferDone(run);
             (*self)(k + 1);
           });
     };
@@ -390,6 +635,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
                 for (const std::size_t li : item.layer_indices) {
                   on_arrival(li, p);
                 }
+                OnTransferDone(run);
                 op_done();
               });
         });
@@ -431,6 +677,7 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
                   on_arrival(li, p);
                 }
               }
+              OnTransferDone(run);
               op_done();
             });
       });

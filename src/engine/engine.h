@@ -104,8 +104,13 @@ struct ColdRunOptions {
 // Pooled cold-run bookkeeping (defined in engine.cc): an ObjectPool of
 // ColdRun records backed by src/util/arena, so a million-cold-start replay
 // recycles sync events, streams, and per-partition item lists instead of
-// allocating them per run.
+// allocating them per run. It also holds the fast-forward templates.
 struct EngineScratch;
+namespace engine_internal {
+struct ColdRun;
+struct ColdTemplate;
+struct FastForwardRun;
+}  // namespace engine_internal
 
 class Engine {
  public:
@@ -131,9 +136,19 @@ class Engine {
   // (partitions k>0 load via secondaries[k-1]) and execute one inference.
   // `done` fires at completion. Multiple concurrent runs interact through the
   // shared fabric.
+  //
+  // A run that records nothing and starts on an idle fabric is fast-forwarded
+  // (DESIGN.md §16): one completion event replays a memoized template of the
+  // same run. If another transfer joins while the template's transfers would
+  // still be on the fabric, the run is first caught up event by event to that
+  // instant. Results and timing are identical either way.
   void RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                std::vector<GpuId> secondaries, const ColdRunOptions& options,
                std::function<void(InferenceResult)> done);
+
+  // Test oracle: off sends every cold run event by event, the path fast-
+  // forwarding must match bit for bit (tests/fastforward_diff_test.cc).
+  void set_fast_forward_for_testing(bool on) { fast_forward_ = on; }
 
   // Warm inference: parameters already placed per `plan` (DHA layers execute
   // from host memory even when warm — that is DeepPlan's residency tradeoff).
@@ -158,6 +173,37 @@ class Engine {
                         int batch) const;
 
  private:
+  using ColdRun = engine_internal::ColdRun;
+  using ColdTemplate = engine_internal::ColdTemplate;
+  using FastForwardRun = engine_internal::FastForwardRun;
+
+  // The event-by-event cold run: builds the run's streams and starts its
+  // transfer chains.
+  void StartCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
+                 const std::vector<GpuId>& secondaries,
+                 const ColdRunOptions& options,
+                 std::function<void(InferenceResult)> done);
+  // Counts one of the run's fabric transfers as finished.
+  void OnTransferDone(ColdRun* run);
+  // The memoized template for this run's value key, built on first use.
+  const ColdTemplate& TemplateFor(const Model& model, const ExecutionPlan& plan,
+                                  GpuId primary,
+                                  const std::vector<GpuId>& secondaries,
+                                  const ColdRunOptions& options);
+  // No transfer in flight, none still to be issued, no open reservation.
+  bool FabricIdle() const;
+  void FastForward(const ColdTemplate& tmpl,
+                   std::function<void(InferenceResult)> done);
+  void FinishFastForward(FastForwardRun* ff);
+  // Adds a run's transfers to the fabric's registry, if one is attached, for
+  // runs whose transfers never went through the real fabric.
+  void CreditFabricCounters(const ColdTemplate& tmpl);
+  // Replays a fast-forwarded run event by event up to the current instant
+  // and leaves it running event by event from there. `join` is the
+  // reservation-hit case (a Start inside the window); otherwise the run is at
+  // its completion instant and replays on a private fabric.
+  void Materialize(FastForwardRun* ff, bool join);
+
   // Records one finished cold-run operation, [start, now] in absolute time,
   // to every attached sink: the trace recorder (async interval for kPcie and
   // kNvlink, span for kExec) and, when `causal_request` >= 0, the causal
@@ -180,6 +226,9 @@ class Engine {
   // runs share PCIe/NVLink tracks, so their transfer slices may overlap and
   // cannot be exported as complete (nesting) slices.
   std::uint64_t next_async_id_ = 0;
+  bool fast_forward_ = true;
+  // Event-by-event cold runs with fabric transfers still to finish.
+  int fabric_runs_ = 0;
   std::unique_ptr<EngineScratch> scratch_;
 };
 

@@ -55,6 +55,10 @@ const char* CounterName(Counter counter) {
       return "validator_checks";
     case Counter::kHeartbeats:
       return "heartbeats";
+    case Counter::kColdFastForward:
+      return "engine.cold_fast_forward";
+    case Counter::kColdMaterialized:
+      return "engine.cold_materialized";
   }
   return "?";
 }

@@ -95,8 +95,10 @@ enum class Counter : std::uint8_t {
   kEventsDispatched = 0,  // events popped by Simulator::RunUntil
   kValidatorChecks,       // SimValidator checks executed (validation on only)
   kHeartbeats,            // DEEPPLAN_PROGRESS lines emitted (wall-dependent)
+  kColdFastForward,       // cold starts replayed from a template
+  kColdMaterialized,      // fast-forwarded cold starts caught up event by event
 };
-inline constexpr int kNumCounters = 3;
+inline constexpr int kNumCounters = 5;
 
 const char* CounterName(Counter counter);
 bool CounterDeterministic(Counter counter);
@@ -281,6 +283,20 @@ class ScopedPhase {
 // nesting — SweepRunner with jobs=1 runs tasks inline on a thread that may
 // already hold a lane — shadows instead of clobbering. nullptr = no-op, so
 // call sites can write InstallLane(enabled ? &lane : nullptr).
+// Detaches the installed lane for a scope: work inside it is charged, as
+// time only, to whatever phase scope encloses it (the engine's private
+// template runs, whose events are not the profiled simulation's).
+class SuspendLane {
+ public:
+  SuspendLane() : prev_(internal::g_lane) { internal::g_lane = nullptr; }
+  ~SuspendLane() { internal::g_lane = prev_; }
+  SuspendLane(const SuspendLane&) = delete;
+  SuspendLane& operator=(const SuspendLane&) = delete;
+
+ private:
+  SelfProfiler* prev_;
+};
+
 class InstallLane {
  public:
   explicit InstallLane(SelfProfiler* lane) : lane_(lane) {

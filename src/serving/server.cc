@@ -383,6 +383,10 @@ void Server::set_causal(CausalGraph* graph, int process) {
   s.engine->set_causal(graph);
 }
 
+void Server::set_fast_forward_for_testing(bool on) {
+  impl_->engine->set_fast_forward_for_testing(on);
+}
+
 const ServingMetrics& Server::metrics() const { return impl_->metrics; }
 
 int Server::OutstandingRequests() const { return impl_->outstanding; }

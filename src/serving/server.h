@@ -111,6 +111,9 @@ class Server {
   // detaches; the disabled cost is one pointer test per request.
   void set_causal(CausalGraph* graph, int process = 0);
 
+  // Test oracle: forwards to Engine::set_fast_forward_for_testing.
+  void set_fast_forward_for_testing(bool on);
+
  private:
   struct ModelEntry;
   struct Impl;

@@ -29,9 +29,22 @@ std::int64_t EventQueue::EpochOf(Nanos when) const {
 }
 
 EventQueue::EventId EventQueue::Schedule(Nanos when, Callback cb) {
+  const std::uint64_t seq = seq_;
+  seq_ += kSeqStride;
+  return Insert(when, seq, std::move(cb));
+}
+
+EventQueue::EventId EventQueue::ScheduleWithSeq(Nanos when, std::uint64_t seq,
+                                                Callback cb) {
+  return Insert(when, seq, std::move(cb));
+}
+
+EventQueue::EventId EventQueue::Insert(Nanos when, std::uint64_t seq,
+                                       Callback cb) {
+  ++scheduled_;
   const SlotPool<Callback>::Handle h = slots_.Alloc();
   slots_.Get(h) = std::move(cb);
-  const Entry entry{when, seq_++, h.index, h.generation};
+  const Entry entry{when, seq, h.index, h.generation};
 
   if (total_entries_ == 0) {
     // Physically empty: re-anchor the calendar at this event instead of
@@ -241,12 +254,20 @@ Nanos EventQueue::NextTime() const {
   return cur_[head_].when;
 }
 
+std::uint64_t EventQueue::NextSeq() const {
+  EventQueue* self = const_cast<EventQueue*>(this);
+  const bool has = self->EnsureFront();
+  DP_CHECK(has);
+  return cur_[head_].seq;
+}
+
 std::pair<Nanos, EventQueue::Callback> EventQueue::PopNext() {
   const bool has = EnsureFront();
   DP_CHECK(has);
   const Entry e = cur_[head_];
   check::SimValidator::OnQueuePop(last_popped_, e.when);
   last_popped_ = e.when;
+  last_popped_seq_ = e.seq;
   ++head_;
   --total_entries_;
   const SlotPool<Callback>::Handle h{e.slot, e.gen};

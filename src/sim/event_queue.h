@@ -33,8 +33,18 @@ class EventQueue {
 
   EventQueue();
 
+  // Tie-break sequence numbers advance by this stride per Schedule, leaving
+  // room between two consecutive schedules for events spliced in by
+  // ScheduleWithSeq (cold-start catch-up, DESIGN.md §16).
+  static constexpr std::uint64_t kSeqStride = std::uint64_t{1} << 20;
+
   // Schedules `cb` at absolute time `when`. Returns an id usable with Cancel.
   EventId Schedule(Nanos when, Callback cb);
+
+  // Schedules `cb` at `when` with an explicit tie-break sequence number, so
+  // it pops among equal-time events as if it had been scheduled at that
+  // position. `seq` must not collide with another pending event's.
+  EventId ScheduleWithSeq(Nanos when, std::uint64_t seq, Callback cb);
 
   // Cancels a pending event. Cancelling an already-fired or unknown id is a
   // no-op and returns false. A cancelled id is never resurrected: the slot it
@@ -47,12 +57,25 @@ class EventQueue {
   // Earliest pending event time; must not be called when empty.
   Nanos NextTime() const;
 
+  // Sequence number of the earliest pending event; must not be called when
+  // empty.
+  std::uint64_t NextSeq() const;
+
   // Pops and returns the earliest event (time + callback). Must not be empty.
   std::pair<Nanos, Callback> PopNext();
+  // Sequence number of the event PopNext last returned.
+  std::uint64_t last_popped_seq() const { return last_popped_seq_; }
+  // Sequence number the next Schedule will assign.
+  std::uint64_t next_seq() const { return seq_; }
+  // Forgets the pop horizon the validator checks pops against, so a reused
+  // side queue may start again from an earlier time.
+  void ResetPopHorizon() { last_popped_ = std::numeric_limits<Nanos>::min(); }
 
   // --- introspection (tests + bench_scaling) ---
-  // Total events ever scheduled on this queue.
-  std::uint64_t total_scheduled() const { return seq_; }
+  // Total events ever scheduled on this queue, plus those counted in by
+  // AddScheduled (events a catch-up dispatched from a side queue).
+  std::uint64_t total_scheduled() const { return scheduled_; }
+  void AddScheduled(std::uint64_t n) { scheduled_ += n; }
   // Callback slots ever created; bounded by max simultaneously-pending
   // events, not total_scheduled() — the arena-reuse invariant scaling_test
   // asserts on.
@@ -72,6 +95,7 @@ class EventQueue {
   }
 
   std::int64_t EpochOf(Nanos when) const;
+  EventId Insert(Nanos when, std::uint64_t seq, Callback cb);
   std::vector<Entry>& ServeBucket() {
     return buckets_[static_cast<std::size_t>(serve_epoch_) & mask_];
   }
@@ -99,7 +123,9 @@ class EventQueue {
   std::int64_t serve_epoch_ = 0;
   bool extracted_ = false;
 
-  std::uint64_t seq_ = 0;
+  std::uint64_t seq_ = kSeqStride;  // > 0, so a gap exists before the first
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t last_popped_seq_ = 0;
   // Entries physically resident in buckets_/cur_/pending_, including
   // cancelled ones not yet pruned.
   std::size_t total_entries_ = 0;

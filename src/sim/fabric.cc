@@ -48,6 +48,11 @@ TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos lat
   for (LinkId l : path) {
     DP_CHECK(l >= 0 && l < num_links());
   }
+  if (on_join_ && sim_->now() <= reserved_until_) {
+    std::function<void()> on_join = std::move(on_join_);
+    on_join_ = nullptr;
+    on_join();
+  }
   const TransferId id = next_id_++;
   if (registry_ != nullptr) {
     registry_->AddCounter("fabric.transfers");
@@ -82,6 +87,25 @@ TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos lat
   start_seeds_.assign(1, active_.size() - 1);
   Reallocate(start_seeds_, /*seeds_closed=*/false);
   return id;
+}
+
+void Fabric::Reserve(Nanos until, std::function<void()> on_join) {
+  DP_CHECK(active_.empty() && !reserved());
+  reserved_until_ = until;
+  on_join_ = std::move(on_join);
+}
+
+bool Fabric::reserved() const {
+  return on_join_ && sim_->now() <= reserved_until_;
+}
+
+void Fabric::DropCompletionEvents() {
+  for (Transfer& t : active_) {
+    if (t.has_completion_event) {
+      sim_->Cancel(t.completion_event);
+      t.has_completion_event = false;
+    }
+  }
 }
 
 Nanos Fabric::SoloDuration(const std::vector<LinkId>& path, std::int64_t bytes,
@@ -347,6 +371,7 @@ void Fabric::Complete(std::size_t index) {
                                           t.total_bytes);
   DP_CHECK(t.remaining_bytes <= kEpsilonBytes + 1.0);  // allow ns-rounding residue
   active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(index));
+  last_departure_ = sim_->now();
   if (!active_.empty()) {
     // completion_seeds_ is the departing transfer's component minus itself:
     // still closed under link-sharing (removal never adds connectivity).

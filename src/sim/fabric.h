@@ -62,6 +62,24 @@ class Fabric {
   void set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
                      int pid = 0);
 
+  // --- Reservation for a fast-forwarded cold start (DESIGN.md §16) ---
+  // Reserves the idle fabric through `until` (inclusive) for work whose
+  // transfers have not been issued: the first Start inside the window calls
+  // `on_join` before doing anything else, which must issue them (catch-up),
+  // and the reservation ends. Start after `until` leaves it untouched.
+  void Reserve(Nanos until, std::function<void()> on_join);
+  // True while a reservation window covers now().
+  bool reserved() const;
+  void ReleaseReservation() { on_join_ = nullptr; }
+  // Cancels the completion event of every in-flight transfer, leaving them
+  // for the next reallocation to re-issue. A catch-up calls this on its side
+  // queue just before a joining Start re-solves the fabric.
+  void DropCompletionEvents();
+  // Time the most recent transfer drained off its links (-1 before any).
+  Nanos last_departure() const { return last_departure_; }
+  bool has_recorder() const { return recorder_ != nullptr; }
+  MetricsRegistry* registry() const { return registry_; }
+
   // Test hook: disables the incremental (component-local) fair-share solve
   // and re-solves every active transfer on each change, as the original
   // implementation did. tests/fabric_diff_test.cc runs one fabric in each
@@ -120,6 +138,9 @@ class Fabric {
   std::vector<Transfer> active_;
   TransferId next_id_ = 1;
   bool force_full_resolve_ = false;
+  Nanos reserved_until_ = -1;
+  std::function<void()> on_join_;
+  Nanos last_departure_ = -1;
 
   // Scratch buffers reused across solves (the fabric reallocates on every
   // transfer start/completion; per-call vector churn was a measurable slice

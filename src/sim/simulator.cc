@@ -34,14 +34,16 @@ Nanos GlobalProgressPeriodNs() {
 Simulator::Simulator() : progress_period_ns_(GlobalProgressPeriodNs()) {}
 
 EventQueue::EventId Simulator::ScheduleAfter(Nanos delay, Callback cb) {
-  check::SimValidator::OnSchedule(now_, now_ + delay);
-  DP_CHECK(delay >= 0);
-  return queue_.Schedule(now_ + delay, std::move(cb));
+  return ScheduleAt(now_ + delay, std::move(cb));
 }
 
 EventQueue::EventId Simulator::ScheduleAt(Nanos when, Callback cb) {
   check::SimValidator::OnSchedule(now_, when);
   DP_CHECK(when >= now_);
+  if (catching_up_) {
+    return queue_.ScheduleWithSeq(when, SpliceSeq(CatchUpPosition()),
+                                  std::move(cb));
+  }
   return queue_.Schedule(when, std::move(cb));
 }
 
@@ -53,10 +55,14 @@ Nanos Simulator::RunUntil(Nanos deadline) {
   // event count reaches the lane as a delta at each exit path instead.
   DP_SELFPROF_SCOPE(kSimDispatch);
   const std::uint64_t dispatched_at_entry = dispatched_;
+  // Every callback runs inside this loop, so "in a dispatch" is "in here".
+  dispatching_ = true;
   while (!queue_.empty()) {
     const Nanos next = queue_.NextTime();
     if (next > deadline) {
       now_ = deadline;
+      drained_through_ = now_;
+      dispatching_ = false;
       selfprof::AddCount(selfprof::Counter::kEventsDispatched,
                          dispatched_ - dispatched_at_entry);
       return now_;
@@ -65,6 +71,9 @@ Nanos Simulator::RunUntil(Nanos deadline) {
     check::SimValidator::OnEventFire(now_, when);
     DP_CHECK(when >= now_);
     now_ = when;
+    if (!log_holds_.empty()) {
+      dispatch_log_.push_back({when, queue_.last_popped_seq(), queue_.next_seq()});
+    }
     cb();
     ++dispatched_;
     if (progress_period_ns_ != 0 && (dispatched_ & 1023u) == 0) {
@@ -73,7 +82,126 @@ Nanos Simulator::RunUntil(Nanos deadline) {
   }
   selfprof::AddCount(selfprof::Counter::kEventsDispatched,
                      dispatched_ - dispatched_at_entry);
+  drained_through_ = now_;
+  dispatching_ = false;
   return now_;
+}
+
+void Simulator::HoldDispatchLog(Nanos start) { log_holds_.push_back(start); }
+
+void Simulator::ReleaseDispatchLog(Nanos start) {
+  const auto it = std::find(log_holds_.begin(), log_holds_.end(), start);
+  DP_CHECK(it != log_holds_.end());
+  log_holds_.erase(it);
+  if (log_holds_.empty()) {
+    dispatch_log_.clear();
+    // Later catch-ups start at or after the current position, so gaps below
+    // it can never be filled again.
+    const std::uint64_t floor = queue_.next_seq();
+    for (auto it2 = gap_used_.begin(); it2 != gap_used_.end();) {
+      it2 = it2->first < floor ? gap_used_.erase(it2) : std::next(it2);
+    }
+    return;
+  }
+  // A catch-up only looks up dispatches after its own start; drop the prefix
+  // no open hold can reach, in batches.
+  if (dispatch_log_.size() >= 4096) {
+    const Nanos oldest = *std::min_element(log_holds_.begin(), log_holds_.end());
+    const auto keep = std::find_if(
+        dispatch_log_.begin(), dispatch_log_.end(),
+        [oldest](const DispatchRecord& r) { return r.when >= oldest; });
+    dispatch_log_.erase(dispatch_log_.begin(), keep);
+  }
+}
+
+std::uint64_t Simulator::CatchUpPosition() {
+  if (catch_up_in_body_) {
+    return catch_up_body_pos_;
+  }
+  if (!side_pos_valid_) {
+    // The first main dispatch that follows the side dispatch in (time, seq)
+    // order: everything it and later dispatches scheduled comes after.
+    const auto it = std::upper_bound(
+        dispatch_log_.begin(), dispatch_log_.end(),
+        std::make_pair(side_when_, side_seq_),
+        [](const std::pair<Nanos, std::uint64_t>& key, const DispatchRecord& r) {
+          return key.first != r.when ? key.first < r.when : key.second < r.seq;
+        });
+    side_pos_ = it != dispatch_log_.end() ? it->next_seq : catch_up_main_next_;
+    side_pos_valid_ = true;
+  }
+  return side_pos_;
+}
+
+std::uint64_t Simulator::SpliceSeq(std::uint64_t pos) {
+  const std::uint64_t used = ++gap_used_[pos];
+  DP_CHECK(used < EventQueue::kSeqStride);
+  return pos - EventQueue::kSeqStride + used;
+}
+
+void Simulator::CatchUp(Nanos start, std::uint64_t start_seq, CatchUpUntil until,
+                        const std::function<void()>& body,
+                        const std::function<void()>& before_splice) {
+  DP_CHECK(!catching_up_);
+  DP_CHECK(start <= now_);
+  const Nanos now = now_;
+  // Events at now() fire when they precede the event being dispatched or,
+  // outside a dispatch, when a drain has already fired everything at now().
+  const bool fire_at_now =
+      until == CatchUpUntil::kCurrentDispatch &&
+      (dispatching_ || drained_through_ >= now);
+  // The queue's last pop is the event whose callback is running.
+  const std::uint64_t boundary_seq = dispatching_
+                                         ? queue_.last_popped_seq()
+                                         : std::numeric_limits<std::uint64_t>::max();
+  catch_up_main_next_ = queue_.next_seq();
+  std::swap(queue_, side_queue_);
+  queue_.ResetPopHorizon();
+  catching_up_ = true;
+  catch_up_in_body_ = true;
+  catch_up_body_pos_ = start_seq;
+  now_ = start;
+  body();
+  catch_up_in_body_ = false;
+
+  std::uint64_t fired = 0;
+  while (!queue_.empty()) {
+    const Nanos next = queue_.NextTime();
+    if (next > now ||
+        (next == now && (!fire_at_now || queue_.NextSeq() > boundary_seq))) {
+      break;
+    }
+    auto [when, cb] = queue_.PopNext();
+    check::SimValidator::OnEventFire(now_, when);
+    now_ = when;
+    side_when_ = when;
+    side_seq_ = queue_.last_popped_seq();
+    side_pos_valid_ = false;
+    cb();
+    ++fired;
+  }
+  now_ = now;
+  before_splice();
+
+  struct Pending {
+    Nanos when;
+    std::uint64_t seq;
+    Callback cb;
+  };
+  std::vector<Pending> rest;
+  rest.reserve(queue_.size());
+  while (!queue_.empty()) {
+    auto [when, cb] = queue_.PopNext();
+    rest.push_back({when, queue_.last_popped_seq(), std::move(cb)});
+  }
+  std::swap(queue_, side_queue_);
+  catching_up_ = false;
+  for (Pending& p : rest) {
+    queue_.ScheduleWithSeq(p.when, p.seq, std::move(p.cb));
+  }
+  queue_.AddScheduled(fired);
+  dispatched_ += fired;
+  selfprof::AddCount(selfprof::Counter::kEventsDispatched, fired);
 }
 
 void Simulator::AddProgressCounter(const std::uint64_t* counter) {

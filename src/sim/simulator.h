@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <unordered_map>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -58,8 +59,53 @@ class Simulator {
   void AddProgressCounter(const std::uint64_t* counter);
   void RemoveProgressCounter(const std::uint64_t* counter);
 
+  // --- Catch-up of fast-forwarded work (DESIGN.md §16) ---
+  //
+  // A component that skipped a stretch of its own events (a fast-forwarded
+  // cold start) can later replay them exactly. Its events interact with the
+  // rest of the simulation only through equal-time tie-breaks, which follow
+  // schedule order; so while any replay may still be needed, the simulator
+  // logs every dispatch with the schedule position it started at, and the
+  // replay merges its own dispatches into that log by (time, sequence).
+
+  // Sequence number the next Schedule will assign: the schedule position of
+  // work that starts now.
+  std::uint64_t next_seq() const { return queue_.next_seq(); }
+  // Holds the dispatch log open from `start` (the skipped work's start time)
+  // until the matching release.
+  void HoldDispatchLog(Nanos start);
+  void ReleaseDispatchLog(Nanos start);
+
+  enum class CatchUpUntil {
+    // Up to the current dispatch position: events at now() fire only when
+    // they precede the event being dispatched.
+    kCurrentDispatch,
+    // Strictly before now(): everything at now() is spliced.
+    kBeforeNow,
+  };
+  // Replays skipped work in a side queue with the clock set back to `start`:
+  // calls `body` as if at `start` and at schedule position `start_seq` (the
+  // next_seq() taken when the work was skipped), dispatches the events it
+  // schedules up to `until`, then runs `before_splice` (still on the side
+  // queue, so it may cancel side events) and moves the remaining events into
+  // the main queue at the positions the event-by-event run gives them. The
+  // clock and queue are restored before returning. Not reentrant.
+  void CatchUp(Nanos start, std::uint64_t start_seq, CatchUpUntil until,
+               const std::function<void()>& body,
+               const std::function<void()>& before_splice);
+
  private:
+  struct DispatchRecord {
+    Nanos when;
+    std::uint64_t seq;       // the dispatched event's sequence number
+    std::uint64_t next_seq;  // queue position when its callback started
+  };
+
   void MaybeEmitProgress();
+  // Schedule position of events the current catch-up dispatch schedules.
+  std::uint64_t CatchUpPosition();
+  // A fresh sequence number in the gap just before main position `pos`.
+  std::uint64_t SpliceSeq(std::uint64_t pos);
 
   Nanos now_ = 0;
   EventQueue queue_;
@@ -68,6 +114,27 @@ class Simulator {
   std::int64_t progress_last_wall_ns_ = 0;
   std::uint64_t progress_last_dispatched_ = 0;
   std::vector<const std::uint64_t*> progress_counters_;
+
+  // Whether a callback is running (inside RunUntil), and the time through
+  // which a drain has fired every event.
+  bool dispatching_ = false;
+  Nanos drained_through_ = std::numeric_limits<Nanos>::min();
+
+  std::vector<Nanos> log_holds_;  // start times of open holds
+  std::vector<DispatchRecord> dispatch_log_;
+  // Catch-up state: the side queue, and the key of the side event being
+  // dispatched (or "in body").
+  EventQueue side_queue_;
+  bool catching_up_ = false;
+  bool catch_up_in_body_ = false;
+  std::uint64_t catch_up_body_pos_ = 0;
+  std::uint64_t catch_up_main_next_ = 0;
+  Nanos side_when_ = 0;
+  std::uint64_t side_seq_ = 0;
+  bool side_pos_valid_ = false;
+  std::uint64_t side_pos_ = 0;
+  // Offsets already used in each splice gap (keyed by the gap's upper bound).
+  std::unordered_map<std::uint64_t, std::uint64_t> gap_used_;
 };
 
 }  // namespace deepplan

@@ -11,11 +11,13 @@ void SyncEvent::Fire() {
   DP_CHECK(!fired_);
   fired_ = true;
   fire_time_ = sim_->now();
-  std::vector<std::function<void()>> waiters;
-  waiters.swap(waiters_);
-  for (auto& w : waiters) {
-    w();
+  // Called in place, then cleared, so the vector keeps its capacity for the
+  // next Reset. A waiter that registers on this event now runs immediately
+  // (fired_ is set), so the vector does not grow while it is walked.
+  for (std::size_t i = 0; i < waiters_.size(); ++i) {
+    waiters_[i]();
   }
+  waiters_.clear();
 }
 
 void SyncEvent::OnFire(std::function<void()> cb) {

@@ -35,6 +35,7 @@ class SyncEvent {
 
   bool fired() const { return fired_; }
   Nanos fire_time() const { return fire_time_; }
+  std::size_t waiter_capacity() const { return waiters_.capacity(); }
 
   // Marks the event fired at the current simulated time and releases waiters.
   void Fire();

@@ -426,6 +426,30 @@ TEST(SelfProfSweepTest, EventsDispatchedCounterMatchesSimulator) {
             r.events_scheduled);
 }
 
+// The fast-forward counters are exact work counts of the simulated run:
+// pinned for the fixed 2000-request point and the same for any
+// DEEPPLAN_JOBS.
+TEST(SelfProfSweepTest, FastForwardCountersPinnedAcrossJobs) {
+  EXPECT_TRUE(selfprof::CounterDeterministic(Counter::kColdFastForward));
+  EXPECT_TRUE(selfprof::CounterDeterministic(Counter::kColdMaterialized));
+  for (const int jobs : {1, 2, 8}) {
+    const SweepRunner runner(jobs);
+    const std::vector<bench::ScalingPointResult> results =
+        runner.Map(2, [](int) {
+          bench::ScalingPointOptions options;
+          options.num_requests = 2000;
+          options.selfprof = true;
+          return bench::RunScalingPoint(options);
+        });
+    for (const bench::ScalingPointResult& r : results) {
+      EXPECT_EQ(r.selfprof.counter(Counter::kColdFastForward), 52u)
+          << "jobs=" << jobs;
+      EXPECT_EQ(r.selfprof.counter(Counter::kColdMaterialized), 1u)
+          << "jobs=" << jobs;
+    }
+  }
+}
+
 // ----------------------------------------------------------- bench history
 
 // Writes a minimal BENCH document; returns its path.

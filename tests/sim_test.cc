@@ -326,6 +326,26 @@ TEST(SyncEventTest, WaitOnFiredEventIsInstant) {
   EXPECT_EQ(stream.wait_time(), 0);
 }
 
+TEST(SyncEventTest, FiredThenResetKeepsWaiterCapacity) {
+  // Pooled cold runs Reset their events for reuse; firing must not hand the
+  // waiter vector's storage away, or every reuse reallocates it.
+  Simulator sim;
+  SyncEvent event(&sim);
+  int fired = 0;
+  for (int i = 0; i < 8; ++i) {
+    event.OnFire([&] { ++fired; });
+  }
+  const std::size_t capacity = event.waiter_capacity();
+  ASSERT_GE(capacity, 8u);
+  event.Fire();
+  EXPECT_EQ(fired, 8);
+  event.Reset(&sim);
+  EXPECT_EQ(event.waiter_capacity(), capacity);
+  event.OnFire([&] { ++fired; });
+  event.Fire();
+  EXPECT_EQ(fired, 9);
+}
+
 TEST(StreamTest, RecordFiresEventInOrder) {
   Simulator sim;
   Stream producer(&sim, "load");
