@@ -13,7 +13,6 @@
 // trace length (id-indexed bookkeeping never shrank), so this curve is where
 // the calendar queue + arena work shows up — and the 1M point completing in
 // bounded memory is itself part of the claim (tests/scaling_test.cc).
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -29,16 +28,9 @@ int main(int argc, char** argv) {
                   "point; the golden gate only sees the default full curve)");
   flags.DefineDouble("rate", 120.0, "offered load (requests/second)");
   flags.DefineInt("instances", 135, "BERT-Base instances on the 4-GPU server");
-  flags.DefineString(
-      "journal_out", "",
-      "stream a binary causal journal per point to <journal_out>.<requests> "
-      "(bounded-memory recording; adds a \"journal\" block to each point)");
-  const char* selfprof_env = std::getenv("DEEPPLAN_SELFPROF");
-  flags.DefineString(
-      "selfprof_out", selfprof_env != nullptr ? selfprof_env : "",
-      "write a host self-profiling report (per-point wall-clock attribution "
-      "lanes + aggregate) to this path; profiling is enabled iff non-empty "
-      "(default: $DEEPPLAN_SELFPROF)");
+  const bench::BenchOutputs outputs(
+      &flags,
+      bench::BenchOutputs::kPerPointJournal | bench::BenchOutputs::kSelfprof);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
@@ -46,8 +38,9 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.GetInt("max_requests"));
   const double rate = flags.GetDouble("rate");
   const int instances = static_cast<int>(flags.GetInt("instances"));
-  const std::string journal_out = flags.GetString("journal_out");
-  const std::string selfprof_out = flags.GetString("selfprof_out");
+  const std::string journal_out =
+      outputs.path(bench::BenchOutputs::kPerPointJournal);
+  const bool profiling_host = outputs.enabled(bench::BenchOutputs::kSelfprof);
 
   std::vector<std::size_t> sizes;
   for (const std::size_t n : {std::size_t{44000}, std::size_t{200000},
@@ -78,7 +71,7 @@ int main(int argc, char** argv) {
           options.journal_out =
               journal_out + "." + std::to_string(options.num_requests);
         }
-        options.selfprof = !selfprof_out.empty();
+        options.selfprof = profiling_host;
         return bench::RunScalingPoint(options);
       });
 
@@ -86,7 +79,7 @@ int main(int argc, char** argv) {
   // selfprof output alongside the per-point lanes.
   selfprof::SelfProfiler main_lane;
   {
-    selfprof::InstallLane profile(!selfprof_out.empty() ? &main_lane : nullptr);
+    selfprof::InstallLane profile(profiling_host ? &main_lane : nullptr);
     std::cout << "Sim-core scaling: BERT-Base serving, " << rate
               << " rps synthetic zipf(0.9) trace, 4x V100, " << instances
               << " instances\n\n";
@@ -114,7 +107,7 @@ int main(int argc, char** argv) {
     report.Write(&std::cerr);
   }
 
-  if (!selfprof_out.empty()) {
+  if (profiling_host) {
     // Lanes in point order (the sweep aggregates results in task-index
     // order), then the main thread's render lane.
     std::vector<selfprof::LaneView> lanes;
@@ -123,13 +116,9 @@ int main(int argc, char** argv) {
                        &results[i].selfprof});
     }
     lanes.push_back({"main", &main_lane});
-    if (!selfprof::WriteReport(selfprof_out,
-                               selfprof::ReportJson("scaling", lanes))) {
-      std::cerr << "error: cannot write selfprof report to " << selfprof_out
-                << "\n";
+    if (!outputs.WriteSelfprof("scaling", lanes)) {
       return 1;
     }
-    std::cerr << "selfprof report: " << selfprof_out << "\n";
   }
   return 0;
 }

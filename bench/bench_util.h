@@ -1,7 +1,9 @@
 // Shared helpers for the figure/table reproduction benches: single-run and
 // repeated cold-start measurement on a chosen topology, with exact or noisy
 // profiling. Every bench prints the paper's rows through util::Table and can
-// additionally emit a machine-readable BENCH_<name>.json via BenchReport.
+// additionally emit a machine-readable BENCH_<name>.json via BenchReport;
+// benches that record telemetry, journals or host profiles write them
+// through BenchOutputs.
 //
 // Repetition loops run on SweepRunner: tasks fan out over DEEPPLAN_JOBS
 // worker threads, results aggregate in task order, so bench output is
@@ -12,12 +14,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
-#include <fstream>
+#include <iostream>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "src/deepplan.h"
+#include "src/util/logging.h"
 
 namespace deepplan {
 namespace bench {
@@ -190,11 +193,7 @@ class BenchReport {
     const char* dir = std::getenv("DEEPPLAN_BENCH_DIR");
     std::string path = (dir != nullptr && *dir != '\0') ? std::string(dir) : ".";
     path += "/BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (out) {
-      out << ToJson() << "\n";
-    }
-    if (!out) {
+    if (!WriteJsonFile(path, ToJson())) {
       if (log != nullptr) {
         *log << "cannot write " << path << "\n";
       }
@@ -213,6 +212,134 @@ class BenchReport {
   std::chrono::steady_clock::time_point start_;
   JsonObject config_;
   std::deque<JsonObject> points_;  // deque: AddPoint() references stay valid
+};
+
+// The output files a bench writes besides BENCH_<name>.json. Each is one
+// --<x>_out flag, defaulting to its environment variable where it has one;
+// an empty path disables the output.
+//
+//   kTrace      --trace_out     $DEEPPLAN_TRACE     Chrome/Perfetto trace
+//   kProfile    --profile_out   $DEEPPLAN_PROFILE   binary causal journal
+//   kWhatIf     --whatif_out    $DEEPPLAN_WHATIF    {"whatif_report":...}
+//   kSelfprof   --selfprof_out  $DEEPPLAN_SELFPROF  host self-profile report
+//   kPerPointJournal  --journal_out  (no default)   path prefix for one
+//                                                   streamed journal per point
+//
+// A bench names the outputs it supports and the harness defines their flags
+// and does every write: one checked write, then one stderr line ("wrote
+// <what> <path>" or "cannot write <what> <path>"), returning false on failure
+// so the bench exits nonzero. stdout, which the goldens pin, sees none of it.
+class BenchOutputs {
+ public:
+  enum Output : unsigned {
+    kTrace = 1u << 0,
+    kProfile = 1u << 1,
+    kWhatIf = 1u << 2,
+    kSelfprof = 1u << 3,
+    kPerPointJournal = 1u << 4,
+  };
+
+  // Defines the flags of `outputs` (a mask of Output) on `flags`; call before
+  // flags->Parse(). `flags` must outlive this object.
+  BenchOutputs(Flags* flags, unsigned outputs)
+      : flags_(flags), outputs_(outputs) {
+    for (const Spec& spec : kSpecs) {
+      if ((outputs_ & spec.output) != 0) {
+        const char* env =
+            spec.env != nullptr ? std::getenv(spec.env) : nullptr;
+        flags->DefineString(spec.flag, env != nullptr ? env : "", spec.help);
+      }
+    }
+  }
+
+  // After Parse(): where `output` goes, "" when disabled or not supported.
+  std::string path(Output output) const {
+    for (const Spec& spec : kSpecs) {
+      if (spec.output == output && (outputs_ & output) != 0) {
+        return flags_->GetString(spec.flag);
+      }
+    }
+    return "";
+  }
+  bool enabled(Output output) const { return !path(output).empty(); }
+  // Whether the run must record a causal journal: --profile_out writes it and
+  // --whatif_out replays it.
+  bool journaling() const { return enabled(kProfile) || enabled(kWhatIf); }
+
+  bool WriteTrace(const TraceRecorder& trace) const {
+    return Logged(trace.WriteTo(path(kTrace)), "trace", path(kTrace));
+  }
+
+  bool WriteJournal(const CausalGraph& graph) const {
+    std::string error;
+    const bool ok =
+        WriteGraphToJournal(graph, path(kProfile), {}, nullptr, &error);
+    return Logged(ok, "profile journal", path(kProfile), error);
+  }
+
+  bool WriteWhatIf(const WhatIfReport& report) const {
+    return Logged(WriteJsonFile(path(kWhatIf), WhatIfReportJson(report)),
+                  "what-if report", path(kWhatIf));
+  }
+
+  // Replays `graph` under DefaultWhatIfExperiments(), prints the report on
+  // stdout after a blank line, and writes it to --whatif_out. The identity
+  // replay must land every request on its recorded latency — the self-check
+  // that licenses the perturbed predictions.
+  bool ReplayWhatIf(const CausalGraph& graph) const {
+    const WhatIfReport report =
+        BuildWhatIfReport(graph, DefaultWhatIfExperiments());
+    DP_CHECK(report.baseline_matches_journal);
+    std::cout << "\n";
+    PrintWhatIfReport(report, std::cout);
+    return WriteWhatIf(report);
+  }
+
+  bool WriteSelfprof(const std::string& label,
+                     const std::vector<selfprof::LaneView>& lanes) const {
+    return Logged(WriteJsonFile(path(kSelfprof),
+                                selfprof::ReportJson(label, lanes)),
+                  "selfprof report", path(kSelfprof));
+  }
+
+ private:
+  struct Spec {
+    Output output;
+    const char* flag;
+    const char* env;
+    const char* help;
+  };
+  static constexpr Spec kSpecs[] = {
+      {kTrace, "trace_out", "DEEPPLAN_TRACE",
+       "write a Chrome/Perfetto trace JSON here (default: $DEEPPLAN_TRACE; "
+       "empty disables telemetry)"},
+      {kProfile, "profile_out", "DEEPPLAN_PROFILE",
+       "write the binary causal journal here (default: $DEEPPLAN_PROFILE; "
+       "empty disables profiling)"},
+      {kWhatIf, "whatif_out", "DEEPPLAN_WHATIF",
+       "write the what-if report JSON here (default: $DEEPPLAN_WHATIF; empty "
+       "disables what-if replay)"},
+      {kSelfprof, "selfprof_out", "DEEPPLAN_SELFPROF",
+       "write a host self-profiling report (one wall-clock attribution lane "
+       "per run) here (default: $DEEPPLAN_SELFPROF; empty disables)"},
+      {kPerPointJournal, "journal_out", nullptr,
+       "stream a binary causal journal per point to <journal_out>.<requests> "
+       "(bounded-memory recording; adds a \"journal\" block to each point)"},
+  };
+
+  static bool Logged(bool ok, const char* what, const std::string& path,
+                     const std::string& error = "") {
+    if (ok) {
+      std::cerr << "wrote " << what << " " << path << "\n";
+    } else {
+      std::cerr << "cannot write " << what << " " << path
+                << (error.empty() ? "" : ": " + error) << "\n";
+    }
+    return ok;
+  }
+
+  const Flags* flags_;
+  unsigned outputs_;
 };
 
 }  // namespace bench

@@ -16,25 +16,20 @@
 // order into one Perfetto-loadable Chrome trace, and each strategy's metrics
 // snapshot lands in its BENCH point. With --profile_out=<path> (default:
 // $DEEPPLAN_PROFILE) each replay additionally records a causal journal; the
-// stitched journal is written to <path> and the critical-path attribution
-// report prints after the tables. With --whatif_out=<path> (default:
-// $DEEPPLAN_WHATIF) the stitched journal is replayed under the default
-// virtual-hardware experiments (src/obs/whatif) and the
-// {"whatif_report":...} JSON lands at <path>; journaling turns on even
-// without --profile_out. With --journal_out=<path> the stitched journal is
-// additionally written in the chunked binary DPJL format
-// (src/obs/journal_stream.h) — the same graph, exactly convertible to/from
-// the JSON journal with tools/journal_convert. With --selfprof_out=<path>
+// stitched journal is written to <path> in the chunked binary DPJL format
+// (src/obs/journal_stream.h; export it as JSON with tools/journal_convert)
+// and the critical-path attribution report prints after the tables. With
+// --whatif_out=<path> (default: $DEEPPLAN_WHATIF) the stitched journal is
+// replayed under the default virtual-hardware experiments (src/obs/whatif)
+// and the {"whatif_report":...} JSON lands at <path>; journaling turns on
+// even without --profile_out. With --selfprof_out=<path>
 // (default: $DEEPPLAN_SELFPROF) each replay carries a host self-profiling
 // lane (src/obs/selfprof.h) and the per-strategy wall-clock attribution
 // report lands at <path> (inspect with tools/selfprof_report).
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <utility>
 
 #include "bench/bench_util.h"
-#include "src/util/logging.h"
 
 namespace {
 
@@ -102,39 +97,17 @@ int main(int argc, char** argv) {
   // the paper's over-committed deployment.
   flags.DefineInt("instances", 135, "total model instances (4:4:1 mix)");
   flags.DefineString("trace", "", "optional MAF-derived CSV to replay instead");
-  const char* trace_env = std::getenv("DEEPPLAN_TRACE");
-  flags.DefineString("trace_out", trace_env != nullptr ? trace_env : "",
-                     "write a Chrome/Perfetto trace JSON here (default: "
-                     "$DEEPPLAN_TRACE; empty disables telemetry)");
-  const char* profile_env = std::getenv("DEEPPLAN_PROFILE");
-  flags.DefineString("profile_out", profile_env != nullptr ? profile_env : "",
-                     "write the causal journal JSON here (default: "
-                     "$DEEPPLAN_PROFILE; empty disables profiling)");
-  const char* whatif_env = std::getenv("DEEPPLAN_WHATIF");
-  flags.DefineString("whatif_out", whatif_env != nullptr ? whatif_env : "",
-                     "write the what-if report JSON here (default: "
-                     "$DEEPPLAN_WHATIF; empty disables what-if replay)");
-  flags.DefineString("journal_out", "",
-                     "additionally write the stitched causal journal in the "
-                     "binary DPJL format here (empty disables)");
-  const char* selfprof_env = std::getenv("DEEPPLAN_SELFPROF");
-  flags.DefineString("selfprof_out", selfprof_env != nullptr ? selfprof_env : "",
-                     "write a host self-profiling report (one wall-clock "
-                     "attribution lane per strategy) here (default: "
-                     "$DEEPPLAN_SELFPROF; empty disables)");
+  const bench::BenchOutputs outputs(
+      &flags, bench::BenchOutputs::kTrace | bench::BenchOutputs::kProfile |
+                  bench::BenchOutputs::kWhatIf |
+                  bench::BenchOutputs::kSelfprof);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
   const int instances = static_cast<int>(flags.GetInt("instances"));
-  const std::string trace_out = flags.GetString("trace_out");
-  const bool tracing = !trace_out.empty();
-  const std::string profile_out = flags.GetString("profile_out");
-  const bool profiling = !profile_out.empty();
-  const std::string whatif_out = flags.GetString("whatif_out");
-  const std::string journal_out = flags.GetString("journal_out");
-  const bool journaling =
-      profiling || !whatif_out.empty() || !journal_out.empty();
-  const std::string selfprof_out = flags.GetString("selfprof_out");
+  const bool tracing = outputs.enabled(bench::BenchOutputs::kTrace);
+  const bool journaling = outputs.journaling();
+  const bool profiling_host = outputs.enabled(bench::BenchOutputs::kSelfprof);
 
   Trace trace;
   if (!flags.GetString("trace").empty()) {
@@ -185,7 +158,7 @@ int main(int argc, char** argv) {
   std::vector<Outcome> outcomes =
       runner.Map(static_cast<int>(strategies.size()), [&](int i) {
         return Replay(strategies[static_cast<std::size_t>(i)], trace, instances,
-                      tracing, journaling, !selfprof_out.empty());
+                      tracing, journaling, profiling_host);
       });
 
   for (std::size_t s = 0; s < strategies.size(); ++s) {
@@ -249,43 +222,16 @@ int main(int argc, char** argv) {
     for (Outcome& out : outcomes) {
       merged.Adopt(std::move(out.causal));
     }
-    if (profiling) {
+    if (outputs.enabled(bench::BenchOutputs::kProfile)) {
       std::cout << "\n";
       PrintProfileReport(BuildProfileReport(merged), std::cout);
-      if (merged.WriteTo(profile_out)) {
-        std::cerr << "wrote profile journal " << profile_out << " ("
-                  << merged.nodes().size() << " nodes)\n";
-      } else {
-        std::cerr << "cannot write profile journal " << profile_out << "\n";
+      if (!outputs.WriteJournal(merged)) {
         return 1;
       }
     }
-    if (!journal_out.empty()) {
-      std::string error;
-      if (!WriteGraphToJournal(merged, journal_out, {}, nullptr, &error)) {
-        std::cerr << "cannot write binary journal: " << error << "\n";
-        return 1;
-      }
-      std::cerr << "wrote binary journal " << journal_out << " ("
-                << merged.nodes().size() << " nodes)\n";
-    }
-    if (!whatif_out.empty()) {
-      const WhatIfReport whatif =
-          BuildWhatIfReport(merged, DefaultWhatIfExperiments());
-      // Identity self-check: replay must reproduce the recorded latencies
-      // before the perturbed predictions mean anything.
-      DP_CHECK(whatif.baseline_matches_journal);
-      std::cout << "\n";
-      PrintWhatIfReport(whatif, std::cout);
-      std::ofstream out(whatif_out, std::ios::binary);
-      if (out) {
-        out << WhatIfReportJson(whatif) << "\n";
-      }
-      if (!out) {
-        std::cerr << "cannot write what-if report " << whatif_out << "\n";
-        return 1;
-      }
-      std::cerr << "wrote what-if report " << whatif_out << "\n";
+    if (outputs.enabled(bench::BenchOutputs::kWhatIf) &&
+        !outputs.ReplayWhatIf(merged)) {
+      return 1;
     }
   }
   report.Write(&std::cerr);
@@ -294,27 +240,19 @@ int main(int argc, char** argv) {
     for (Outcome& out : outcomes) {
       merged.Adopt(std::move(out.recorder));
     }
-    if (merged.WriteTo(trace_out)) {
-      std::cerr << "wrote trace " << trace_out << " (" << merged.size()
-                << " events)\n";
-    } else {
-      std::cerr << "cannot write trace " << trace_out << "\n";
+    if (!outputs.WriteTrace(merged)) {
       return 1;
     }
   }
-  if (!selfprof_out.empty()) {
+  if (profiling_host) {
     // Lanes in strategy order (the sweep aggregates in task-index order).
     std::vector<selfprof::LaneView> lanes;
     for (std::size_t s = 0; s < strategies.size(); ++s) {
       lanes.push_back({StrategyName(strategies[s]), &outcomes[s].selfprof});
     }
-    if (!selfprof::WriteReport(selfprof_out,
-                               selfprof::ReportJson("fig15_azure_trace",
-                                                    lanes))) {
-      std::cerr << "cannot write selfprof report " << selfprof_out << "\n";
+    if (!outputs.WriteSelfprof("fig15_azure_trace", lanes)) {
       return 1;
     }
-    std::cerr << "selfprof report: " << selfprof_out << "\n";
   }
   return 0;
 }

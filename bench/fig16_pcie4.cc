@@ -14,14 +14,11 @@
 // prediction within 1% of the re-simulation. The {"whatif_report":...} JSON
 // lands at <path> (lint with `trace_lint --whatif`).
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/util/logging.h"
 
 namespace {
 
@@ -33,10 +30,11 @@ constexpr Strategy kStrategies[] = {Strategy::kBaseline, Strategy::kPipeSwitch,
                                     Strategy::kDeepPlanPtDha};
 
 // Journals PCIe 3.0 cold starts, predicts PCIe 4.0 from the journal alone,
-// and checks the predictions against re-simulated ground truth. Returns 0 on
-// success (DP_CHECK aborts on a >1% miss, so failures are loud either way).
-int ValidateWhatIf(const Topology& gen4, const PerfModel& perf4,
-                   const std::string& whatif_out) {
+// checks the predictions against re-simulated ground truth, and writes the
+// report to --whatif_out. Returns false only when that write fails (DP_CHECK
+// aborts on a >1% miss).
+bool ValidateWhatIf(const Topology& gen4, const PerfModel& perf4,
+                    const BenchOutputs& outputs) {
   const Topology gen3 = gen4.WithPcieBandwidth(
       PcieSpec::Gen3().effective_bw_bytes_per_sec);
   const PerfModel perf3(gen3.gpu(), gen3.pcie());
@@ -98,16 +96,7 @@ int ValidateWhatIf(const Topology& gen4, const PerfModel& perf4,
             << " predictions within 1% of re-simulation (max error "
             << Table::Pct(max_err, 3) << ").\n";
 
-  std::ofstream out(whatif_out, std::ios::binary);
-  if (out) {
-    out << WhatIfReportJson(report) << "\n";
-  }
-  if (!out) {
-    std::cerr << "cannot write what-if report " << whatif_out << "\n";
-    return 1;
-  }
-  std::cerr << "wrote what-if report " << whatif_out << "\n";
-  return 0;
+  return outputs.WriteWhatIf(report);
 }
 
 }  // namespace
@@ -115,15 +104,11 @@ int ValidateWhatIf(const Topology& gen4, const PerfModel& perf4,
 int main(int argc, char** argv) {
   Flags flags;
   flags.DefineInt("runs", 100, "repetitions per (model, strategy)");
-  const char* whatif_env = std::getenv("DEEPPLAN_WHATIF");
-  flags.DefineString("whatif_out", whatif_env != nullptr ? whatif_env : "",
-                     "write the PCIe3->PCIe4 what-if validation report JSON "
-                     "here (default: $DEEPPLAN_WHATIF; empty disables)");
+  const BenchOutputs outputs(&flags, BenchOutputs::kWhatIf);
   if (!flags.Parse(argc, argv)) {
     return 1;
   }
   const int runs = static_cast<int>(flags.GetInt("runs"));
-  const std::string whatif_out = flags.GetString("whatif_out");
 
   const Topology topology = Topology::A5000Box();
   const PerfModel perf(topology.gpu(), topology.pcie());
@@ -156,8 +141,9 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper reference: the Figure 11 trend reproduces on PCIe 4.0 "
                "hardware; DeepPlan still leads everywhere.\n";
   report.Write(&std::cerr);
-  if (!whatif_out.empty()) {
-    return ValidateWhatIf(topology, perf, whatif_out);
+  if (outputs.enabled(BenchOutputs::kWhatIf) &&
+      !ValidateWhatIf(topology, perf, outputs)) {
+    return 1;
   }
   return 0;
 }

@@ -184,7 +184,7 @@ echo "== trace_lint"
 # run writes its BENCH file into a scratch subdir so the baseline BENCH
 # output above stays pristine.
 echo "== profile leg (fig15_azure_trace, 2 minutes)"
-PROFILE_JOURNAL="$RESULTS_DIR/profile_fig15.json"
+PROFILE_JOURNAL="$RESULTS_DIR/profile_fig15.dpj"
 PROFILE_REPORT="$RESULTS_DIR/profile_fig15_report.json"
 mkdir -p "$RESULTS_DIR/profiled"
 DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" DEEPPLAN_VALIDATE=1 \
@@ -198,7 +198,7 @@ DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" DEEPPLAN_VALIDATE=1 \
 # The cold-start decomposition and concurrency-sweep journals go through the
 # same journal -> offline report -> schema lint round trip.
 echo "== profile leg (fig02_stall_decomposition)"
-FIG02_JOURNAL="$RESULTS_DIR/profile_fig02.json"
+FIG02_JOURNAL="$RESULTS_DIR/profile_fig02.dpj"
 FIG02_REPORT="$RESULTS_DIR/profile_fig02_report.json"
 DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" \
   "$BUILD_DIR/bench/fig02_stall_decomposition" \
@@ -209,7 +209,7 @@ DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" \
 "$BUILD_DIR/tools/trace_lint" --profile "$FIG02_REPORT"
 
 echo "== profile leg (fig13_concurrency_sweep, short)"
-FIG13_JOURNAL="$RESULTS_DIR/profile_fig13.json"
+FIG13_JOURNAL="$RESULTS_DIR/profile_fig13.dpj"
 FIG13_REPORT="$RESULTS_DIR/profile_fig13_report.json"
 DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" \
   "$BUILD_DIR/bench/fig13_concurrency_sweep" --requests=200 \
@@ -237,32 +237,33 @@ WHATIF_FIG15="$RESULTS_DIR/whatif_fig15.json"
   --json="$WHATIF_FIG15" >"$RESULTS_DIR/whatif_fig15.txt"
 "$BUILD_DIR/tools/trace_lint" --whatif "$WHATIF_FIG15"
 
-# Binary journal leg. One fig15 replay writes the JSON and binary journals of
-# the same run; the conversion must be exact in both directions (byte-for-byte
-# against the JSON journal, and back to the identical binary), and the
-# windowed what-if engine streaming the binary chunks must emit the
-# byte-identical report to in-memory replay over the JSON journal.
-echo "== binary journal leg (lint + exact round trip + windowed replay)"
+# Binary journal leg. One fig15 replay writes its binary journal and its
+# in-process what-if report (in-memory engine); the journal must lint clean,
+# and the windowed what-if engine streaming its chunks must emit the
+# byte-identical report. The JSON export must parse; it is checked on the
+# fig13 journal (6 MB as JSON) because the fig15 one is 255 MB as JSON,
+# which a DOM parser holds in several GB.
+echo "== binary journal leg (lint + windowed replay + JSON export)"
 JOURNAL_BIN="$RESULTS_DIR/journal_fig15.dpj"
-JOURNAL_JSON="$RESULTS_DIR/journal_fig15.json"
 DEEPPLAN_BENCH_DIR="$RESULTS_DIR/profiled" \
   "$BUILD_DIR/bench/fig15_azure_trace" --minutes=2 \
-  --profile_out="$JOURNAL_JSON" --journal_out="$JOURNAL_BIN" \
+  --profile_out="$JOURNAL_BIN" \
+  --whatif_out="$RESULTS_DIR/whatif_fig15_inprocess.json" \
   >"$RESULTS_DIR/fig15_azure_trace_journaled.txt" 2>&1
 "$BUILD_DIR/tools/trace_lint" --journal "$JOURNAL_BIN"
-"$BUILD_DIR/tools/journal_convert" --to-json "$JOURNAL_BIN" \
-  "$RESULTS_DIR/journal_fig15_rt.json" 2>/dev/null
-cmp "$JOURNAL_JSON" "$RESULTS_DIR/journal_fig15_rt.json"
-"$BUILD_DIR/tools/journal_convert" --to-binary "$JOURNAL_JSON" \
-  "$RESULTS_DIR/journal_fig15_rt.dpj" 2>/dev/null
-cmp "$JOURNAL_BIN" "$RESULTS_DIR/journal_fig15_rt.dpj"
 "$BUILD_DIR/tools/whatif_report" "$JOURNAL_BIN" \
   --json="$RESULTS_DIR/whatif_fig15_windowed.json" >/dev/null
-"$BUILD_DIR/tools/whatif_report" "$JOURNAL_JSON" \
-  --json="$RESULTS_DIR/whatif_fig15_inmemory.json" >/dev/null
-cmp "$RESULTS_DIR/whatif_fig15_windowed.json" \
-  "$RESULTS_DIR/whatif_fig15_inmemory.json"
+cmp "$RESULTS_DIR/whatif_fig15_inprocess.json" \
+  "$RESULTS_DIR/whatif_fig15_windowed.json"
 "$BUILD_DIR/tools/trace_lint" --whatif "$RESULTS_DIR/whatif_fig15_windowed.json"
+"$BUILD_DIR/tools/journal_convert" --to-json "$FIG13_JOURNAL" \
+  "$RESULTS_DIR/profile_fig13_journal.json" 2>/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c 'import json, sys; json.load(open(sys.argv[1]))["causal_journal"]' \
+    "$RESULTS_DIR/profile_fig13_journal.json"
+else
+  grep -q '^{"causal_journal":' "$RESULTS_DIR/profile_fig13_journal.json"
+fi
 
 # Bounded-memory recording at scale: stream one binary journal per scaling
 # point (200k cap here for CI speed; the RSS bound while journaling is pinned

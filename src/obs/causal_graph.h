@@ -200,17 +200,13 @@ class CausalGraph {
   // {"causal_journal":{"processes":[...],"requests":[...],"nodes":[...],
   //  "edges":[[from,to],...]}} — deterministic bytes for a given graph.
   std::string ToJson() const;
-  bool WriteTo(const std::string& path) const;
-
-  // Parses a journal produced by ToJson(). Returns false and sets `error`
-  // on malformed input (bad structure, dangling node/request references).
-  static bool FromJson(const std::string& text, CausalGraph* out,
-                       std::string* error);
 
   // Reassembles a graph from complete, id-ordered parts — the binary journal
-  // reader's materialization path (src/obs/journal_stream.h). Requests and
-  // nodes must already be dense and sorted by id; cross-references are
-  // validated the same way FromJson validates them.
+  // reader's materialization path (src/obs/journal_stream.h) and the one
+  // journal decoder. Returns false and sets `error` unless request and node
+  // ids are dense and in order, every node names a known request and ends no
+  // earlier than it starts, every edge joins known nodes, and every
+  // request's arrival/terminal node is in range.
   static bool Assemble(std::vector<std::string> processes,
                        std::vector<CpRequest> requests,
                        std::vector<CpNode> nodes,
@@ -225,7 +221,7 @@ class CausalGraph {
   // synchronized: retirement is the PDES hand-off point, so every field is
   // GUARDED_BY the state's own mutex and helpers that expect it held are
   // REQUIRES-annotated. The state lives behind a unique_ptr so the graph
-  // stays implicitly movable (Adopt, FromJson, Assemble all move-assign)
+  // stays implicitly movable (Adopt and Assemble move-assign)
   // despite owning a Mutex. Lock order: stream_->mu before the sink's
   // internal lock (RetireLive calls the sink while holding mu), never the
   // reverse — the sink never calls back into the graph.

@@ -369,9 +369,9 @@ bool JournalReader::Open(const std::string& path) {
   if (std::memcmp(header, kJournalMagic, sizeof(kJournalMagic)) != 0) {
     if (header[0] == '{') {
       return Fail(
-          "not a binary journal (content looks like JSON — lint it with "
-          "trace_lint --profile/--whatif, or convert it with journal_convert "
-          "--to-binary)");
+          "not a binary journal (content looks like JSON — lint reports "
+          "with trace_lint --profile/--whatif; journal_convert only exports "
+          "JSON, so re-record the journal with a bench's --profile_out)");
     }
     return Fail("bad magic (want \"DPJL\"): not a DeepPlan binary journal");
   }
@@ -824,16 +824,6 @@ bool JournalReader::DecodeChunk(const std::string& payload,
 }
 
 // ---------------------------------------------------------------- converters
-
-bool IsBinaryJournalFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
-  }
-  char magic[4];
-  return ReadExact(in, magic, sizeof(magic)) &&
-         std::memcmp(magic, kJournalMagic, sizeof(magic)) == 0;
-}
 
 bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
                         std::string* error) {

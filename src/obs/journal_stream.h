@@ -1,12 +1,14 @@
-// Streaming binary causal journal (schema v1). The JSON journal
-// (CausalGraph::ToJson) is lossless but needs the whole graph in memory; this
-// format is its scale-ready twin: a streaming JournalWriter consumes retired
-// requests from a streaming CausalGraph (CausalSink) and appends them in
-// CRC-guarded chunks, so recording a million-request run costs only the
+// Streaming binary causal journal (schema v1): the one on-disk form of the
+// causal journal. Benches write it with --profile_out (WriteGraphToJournal)
+// and bench_scaling streams it per point: a streaming JournalWriter consumes
+// retired requests from a streaming CausalGraph (CausalSink) and appends them
+// in CRC-guarded chunks, so recording a million-request run costs only the
 // in-flight state, and a chunk-iterator JournalReader lets consumers (the
-// windowed what-if engine, the lint mode, the JSON converter) bound their
-// resident set to a window of chunks. JSON stays the export format — the
-// conversion is exact in both directions, byte-identical to ToJson().
+// windowed what-if engine, the lint mode, the JSON exporter) bound their
+// resident set to a window of chunks. Binary is the record, JSON is the
+// export: ReadJournalToGraph(...).ToJson() (tools/journal_convert --to-json)
+// is byte-identical to CausalGraph::ToJson() of the recording run, and no
+// reader takes the JSON back.
 //
 // File layout (all integers little-endian; varint = LEB128, zigzag for
 // signed):
@@ -227,10 +229,6 @@ class JournalReader {
 };
 
 // --- whole-journal conversions ---
-
-// True if `path` starts with the binary journal magic (cheap sniff for tools
-// that accept either representation).
-bool IsBinaryJournalFile(const std::string& path);
 
 // Reads a complete binary journal into an in-memory CausalGraph. Requires a
 // clean footer; reassembles global node-id and edge-seq order, so

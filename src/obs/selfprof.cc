@@ -265,14 +265,5 @@ std::string DeterministicReportJson(const std::string& label,
   return BuildReport(label, lanes, /*deterministic=*/true);
 }
 
-bool WriteReport(const std::string& path, const std::string& json) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << json << "\n";
-  return static_cast<bool>(out);
-}
-
 }  // namespace selfprof
 }  // namespace deepplan

@@ -352,9 +352,6 @@ std::string ReportJson(const std::string& label,
 std::string DeterministicReportJson(const std::string& label,
                                     const std::vector<LaneView>& lanes);
 
-// Writes `json` (plus trailing newline) to `path`; false on I/O failure.
-bool WriteReport(const std::string& path, const std::string& json);
-
 }  // namespace selfprof
 }  // namespace deepplan
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -184,12 +183,7 @@ std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
 }
 
 bool ChromeTraceWriter::WriteTo(const std::string& path, const TraceDocument& doc) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson(doc) << "\n";
-  return static_cast<bool>(out);
+  return WriteJsonFile(path, ToJson(doc));
 }
 
 }  // namespace deepplan

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 namespace deepplan {
 
@@ -121,6 +122,14 @@ std::string JsonArray::Render() const {
   }
   out.push_back(']');
   return out;
+}
+
+bool WriteJsonFile(const std::string& path, const std::string& json) {
+  std::ofstream out(path, std::ios::binary);
+  out << json << '\n';
+  // close() flushes: a write the buffer was still holding fails here.
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace deepplan

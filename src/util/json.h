@@ -55,6 +55,12 @@ class JsonArray {
   std::vector<std::string> items_;
 };
 
+// Writes `json` and a trailing newline to `path`, then closes the file.
+// Returns false when the file cannot be opened or any byte fails to land (a
+// full disk, /dev/full), so callers can exit nonzero instead of reporting a
+// write that did not happen. Every JSON artefact is written through here.
+bool WriteJsonFile(const std::string& path, const std::string& json);
+
 }  // namespace deepplan
 
 #endif  // SRC_UTIL_JSON_H_

@@ -4,6 +4,7 @@
 // the profile-report schema linter, and the bench_diff regression gate.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/check/trace_lint.h"
 #include "src/obs/causal_graph.h"
 #include "src/obs/critical_path.h"
+#include "src/obs/journal_stream.h"
 #include "src/obs/profile_report.h"
 #include "src/obs/utilization.h"
 #include "src/sim/fabric.h"
@@ -53,6 +55,16 @@ CausalGraph KnownPathGraph() {
   graph.AddEdge(arrival, off_path);
   graph.EndRequest(req, 3000, exec);
   return graph;
+}
+
+// Writes `graph` as a binary journal and reads it back into `out`.
+void RoundTripThroughBinary(const CausalGraph& graph, const std::string& name,
+                            CausalGraph* out) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::string error;
+  ASSERT_TRUE(WriteGraphToJournal(graph, path, {}, nullptr, &error)) << error;
+  ASSERT_TRUE(ReadJournalToGraph(path, out, &error)) << error;
+  std::remove(path.c_str());
 }
 
 TEST(CriticalPathTest, KnownPathAttributesEveryComponent) {
@@ -336,46 +348,86 @@ TEST(CriticalPathTest, SweepJournalDeterministicAcrossJobs) {
     for (CausalGraph& graph : graphs) {
       merged.Adopt(std::move(graph));
     }
-    return merged.ToJson();
+    return merged;
   };
-  const std::string serial = run(1);
-  const std::string parallel = run(8);
-  EXPECT_EQ(serial, parallel);
+  const CausalGraph serial = run(1);
+  EXPECT_EQ(serial.ToJson(), run(8).ToJson());
 
+  // The report is a function of the journal: analyzing the graph read back
+  // from disk gives the same bytes as analyzing the recording.
   CausalGraph parsed;
-  std::string error;
-  ASSERT_TRUE(CausalGraph::FromJson(serial, &parsed, &error)) << error;
+  RoundTripThroughBinary(serial, "sweep_journal.dpj", &parsed);
   EXPECT_EQ(ProfileReportJson(BuildProfileReport(parsed)),
-            ProfileReportJson(BuildProfileReport(parsed)));
+            ProfileReportJson(BuildProfileReport(serial)));
   EXPECT_EQ(parsed.requests().size(), models.size());
 }
 
 // ------------------------------------------------ journal round-trip
 
-TEST(CausalGraphTest, JournalRoundTripsThroughJson) {
+TEST(CausalGraphTest, JournalRoundTripsThroughBinary) {
   const CausalGraph graph = KnownPathGraph();
-  const std::string journal = graph.ToJson();
   CausalGraph parsed;
-  std::string error;
-  ASSERT_TRUE(CausalGraph::FromJson(journal, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.ToJson(), journal);
+  RoundTripThroughBinary(graph, "known_path.dpj", &parsed);
+  EXPECT_EQ(parsed.ToJson(), graph.ToJson());
   EXPECT_EQ(parsed.processes(), graph.processes());
   ASSERT_EQ(parsed.nodes().size(), graph.nodes().size());
   EXPECT_EQ(parsed.edges(), graph.edges());
 }
 
-TEST(CausalGraphTest, FromJsonRejectsDanglingReferences) {
-  CausalGraph parsed;
+// Assemble is the one journal decoder's materialization step: every
+// malformed shape it validates must be refused with a diagnosis, starting
+// from parts it accepts.
+TEST(CausalGraphTest, AssembleRejectsEachMalformedShape) {
+  const CausalGraph good = KnownPathGraph();
+  struct Parts {
+    std::vector<std::string> processes;
+    std::vector<CpRequest> requests;
+    std::vector<CpNode> nodes;
+    std::vector<std::pair<CpNodeId, CpNodeId>> edges;
+  };
+  const Parts base{good.processes(), good.requests(), good.nodes(),
+                   good.edges()};
+  const auto assemble = [](Parts parts, std::string* error) {
+    CausalGraph out;
+    return CausalGraph::Assemble(
+        std::move(parts.processes), std::move(parts.requests),
+        std::move(parts.nodes), std::move(parts.edges), &out, error);
+  };
   std::string error;
-  EXPECT_FALSE(CausalGraph::FromJson("not json", &parsed, &error));
-  EXPECT_FALSE(error.empty());
-  // A node pointing at a request that does not exist.
-  const std::string bad =
-      "{\"causal_journal\":{\"processes\":[\"p\"],\"requests\":[],"
-      "\"nodes\":[{\"id\":0,\"request\":3,\"kind\":\"exec\",\"label\":\"x\","
-      "\"resource\":\"gpu0\",\"start_ns\":0,\"end_ns\":1,\"bytes\":0,"
-      "\"solo_ns\":-1}],\"edges\":[]}}";
-  EXPECT_FALSE(CausalGraph::FromJson(bad, &parsed, &error));
+  ASSERT_TRUE(assemble(base, &error)) << error;
+
+  const auto expect_rejected = [&](Parts parts, const std::string& want) {
+    std::string why;
+    EXPECT_FALSE(assemble(std::move(parts), &why)) << want;
+    EXPECT_NE(why.find(want), std::string::npos) << why;
+  };
+  Parts p = base;
+  p.requests[0].id = 1;
+  expect_rejected(p, "request ids must be dense");
+  p = base;
+  p.nodes[2].id = 5;
+  expect_rejected(p, "node ids must be dense");
+  p = base;
+  p.nodes[1].request = 3;
+  expect_rejected(p, "node 1 references unknown request");
+  p = base;
+  p.nodes[3].end = p.nodes[3].start - 1;
+  expect_rejected(p, "node 3 ends before it starts");
+  p = base;
+  p.edges.emplace_back(0, static_cast<CpNodeId>(p.nodes.size()));
+  expect_rejected(p, "edge references unknown node");
+  p = base;
+  p.edges.emplace_back(-1, 0);
+  expect_rejected(p, "edge references unknown node");
+  p = base;
+  p.requests[0].arrival_node = static_cast<CpNodeId>(p.nodes.size());
+  expect_rejected(p, "request 0 references unknown nodes");
+  p = base;
+  p.requests[0].terminal_node = -2;
+  expect_rejected(p, "request 0 references unknown nodes");
+  p = base;
+  p.requests[0].terminal_node = static_cast<CpNodeId>(p.nodes.size());
+  expect_rejected(p, "request 0 references unknown nodes");
 }
 
 TEST(CausalGraphTest, DisabledGraphRecordsNothing) {
