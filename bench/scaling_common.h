@@ -40,6 +40,9 @@ struct ScalingPointOptions {
   // Profile the point's own host wall-clock into result.selfprof (the lane is
   // installed for the duration of the replay; see src/obs/selfprof.h).
   bool selfprof = false;
+  // Off runs every cold start event by event (the differential oracle of
+  // Server::set_fast_forward_for_testing); outputs must not change.
+  bool fast_forward_for_testing = true;
 };
 
 struct ScalingPointResult {
@@ -100,6 +103,7 @@ inline ScalingPointResult RunScalingPoint(const ScalingPointOptions& options) {
     server_options.slo = options.slo;
     Simulator sim;
     Server server(&sim, topology, perf, server_options);
+    server.set_fast_forward_for_testing(options.fast_forward_for_testing);
     const int type = server.RegisterModelType(ModelZoo::BertBase());
     server.AddInstances(type, options.num_instances);
 

@@ -104,6 +104,25 @@ struct ColdRun {
   std::vector<CpNodeId> mig_prev;          // per-partition migration cursor
   CpNodeId last_exec = -1;
   CpNodeId all_loaded_source = -1;  // node whose arrival fired all_loaded
+  // Catch-up of a recorded fast-forwarded run: graph ids its script already
+  // emitted, the number of nodes recorded (or handed back) so far, and
+  // whether the last RecordOp handed one back.
+  std::vector<CpNodeId> reuse;
+  std::size_t records = 0;
+  bool reused_last = false;
+};
+
+// What a recorded run of a template emits to the causal graph, in record
+// order, with times relative to the run's start: each node with the edges
+// into it, which the run records right after the node.
+struct NodeScript {
+  static constexpr int kRoot = -1;  // stands for the run's causal_root
+  struct Entry {
+    CpNode node;            // id and request unset
+    std::vector<int> from;  // edge sources: script indices, or kRoot
+  };
+  std::vector<Entry> entries;
+  int terminal = -1;  // script index of the causal terminal (-1: none)
 };
 
 // A memoized isolated cold run. The key is the run's full value (model,
@@ -122,6 +141,8 @@ struct ColdTemplate {
   // is attached and the run completes without a catch-up.
   std::int64_t fabric_transfers = 0;
   std::int64_t fabric_bytes = 0;
+  // Built on the first run of this key that records causal nodes.
+  std::unique_ptr<NodeScript> script;
 };
 
 // A fast-forwarded run in flight.
@@ -131,6 +152,20 @@ struct FastForwardRun {
   std::uint64_t start_seq = 0;  // schedule position at RunCold
   std::function<void(InferenceResult)> done;
   EventQueue::EventId completion = 0;
+  // Recorded runs: the graph request, the node the script's root stands
+  // for, the script position and the graph ids of the nodes emitted so far.
+  int causal_request = -1;
+  CpNodeId causal_root = -1;
+  std::size_t next_node = 0;
+  std::vector<CpNodeId> emitted;
+
+  // Absolute time the next script node is recorded at (its end).
+  Nanos NextRecordAt() const {
+    return start + tmpl->script->entries[next_node].node.end;
+  }
+  bool recording() const {
+    return causal_request >= 0 && next_node < tmpl->script->entries.size();
+  }
 };
 
 namespace {
@@ -174,6 +209,7 @@ using engine_internal::ColdRun;
 using engine_internal::ColdTemplate;
 using engine_internal::FastForwardRun;
 using engine_internal::LoadItem;
+using engine_internal::NodeScript;
 
 // Pool of reusable ColdRun records plus the deferred-release list. A run
 // cannot be released the moment its completion callback fires: the execute
@@ -197,20 +233,48 @@ Engine::Engine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf)
   DP_CHECK(sim != nullptr && fabric != nullptr && perf != nullptr);
 }
 
-Engine::~Engine() = default;
+Engine::~Engine() {
+  if (record_hook_ != nullptr) {
+    record_hook_->Disarm();
+  }
+}
+
+void Engine::set_causal(CausalGraph* graph) {
+  if (graph == causal_) {
+    return;
+  }
+  DP_CHECK(recording_.empty());
+  if (record_hook_ != nullptr) {
+    // The old graph may already be gone; a disarmed hook is inert.
+    record_hook_->Disarm();
+    record_hook_ = nullptr;
+  }
+  causal_ = graph;
+  if (graph != nullptr) {
+    record_hook_ = std::make_shared<CausalRecordHook>([this]() { EmitScripts(); });
+    graph->SetRecordHook(record_hook_);
+  }
+}
 
 void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
   recorder_ = recorder;
   pid_ = pid;
 }
 
-CpNodeId Engine::RecordOp(int causal_request, CpKind kind, std::string_view verb,
+CpNodeId Engine::RecordOp(ColdRun* run, CpKind kind, std::string_view verb,
                           std::string_view name, GpuId from, GpuId to,
                           Nanos start, std::int64_t bytes, Nanos dha_pcie) {
+  const int causal_request = run->causal_request;
   if (recorder_ == nullptr && causal_request < 0) {
     return -1;
   }
   const Nanos end = sim_->now();
+  run->reused_last = run->records < run->reuse.size();
+  if (run->reused_last) {
+    // Emitted already from the script of the fast-forwarded run this one
+    // replays; such a run records no trace.
+    return run->reuse[run->records++];
+  }
   std::string label;
   label.reserve(verb.size() + name.size());
   label.append(verb).append(name);
@@ -232,6 +296,7 @@ CpNodeId Engine::RecordOp(int causal_request, CpKind kind, std::string_view verb
   if (causal_request < 0) {
     return -1;
   }
+  ++run->records;
   if (kind == CpKind::kExec) {
     const CpNodeId node = causal_->AddNode(causal_request, kind, std::move(label),
                                            std::move(track), start, end);
@@ -252,6 +317,12 @@ CpNodeId Engine::RecordOp(int causal_request, CpKind kind, std::string_view verb
   return node;
 }
 
+void Engine::RecordEdge(const ColdRun* run, CpNodeId from, CpNodeId to) {
+  if (!run->reused_last) {
+    causal_->AddEdge(from, to);
+  }
+}
+
 void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                      std::vector<GpuId> secondaries, const ColdRunOptions& options,
                      std::function<void(InferenceResult)> done) {
@@ -267,21 +338,21 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   }
   scratch_->retired.clear();
 
-  // Runs that record anything go event by event, so traces and journals keep
-  // their node order.
-  const bool records = recorder_ != nullptr ||
-                       (causal_ != nullptr && causal_->enabled() &&
-                        options.causal_request >= 0) ||
-                       fabric_->fabric().has_recorder();
-  if (fast_forward_ && !records) {
+  // Traced runs go event by event, so traces keep their event order.
+  const bool traced = recorder_ != nullptr || fabric_->fabric().has_recorder();
+  const bool journaled = causal_ != nullptr && causal_->enabled() &&
+                         options.causal_request >= 0;
+  if (fast_forward_ && !traced) {
     const ColdTemplate& tmpl =
-        TemplateFor(model, plan, primary, secondaries, options);
+        TemplateFor(model, plan, primary, secondaries, options, journaled);
     // A run without transfers never touches the fabric. The completion must
     // come strictly after the last transfer leaves, so that no catch-up at
     // completion ever holds one of the fabric's events.
-    if (tmpl.fabric_end < 0 ||
-        (tmpl.result.latency > tmpl.fabric_end && FabricIdle())) {
-      FastForward(tmpl, std::move(done));
+    const bool isolated = tmpl.fabric_end < 0 ||
+                          (tmpl.result.latency > tmpl.fabric_end && FabricIdle());
+    if (isolated && (!journaled || !CollidesWithRecording(*tmpl.script,
+                                                          tmpl.result.latency))) {
+      FastForward(tmpl, options, std::move(done));
       return;
     }
   }
@@ -294,18 +365,20 @@ bool Engine::FabricIdle() const {
          !fabric.reserved();
 }
 
-const ColdTemplate& Engine::TemplateFor(const Model& model,
-                                        const ExecutionPlan& plan, GpuId primary,
-                                        const std::vector<GpuId>& secondaries,
-                                        const ColdRunOptions& options) {
+ColdTemplate& Engine::TemplateFor(const Model& model, const ExecutionPlan& plan,
+                                  GpuId primary,
+                                  const std::vector<GpuId>& secondaries,
+                                  const ColdRunOptions& options, bool scripted) {
   for (const std::unique_ptr<ColdTemplate>& t : scratch_->templates) {
     if (engine_internal::SameKey(*t, model, plan, primary, secondaries, options)) {
+      if (scripted && t->script == nullptr) {
+        const Nanos latency = t->result.latency;
+        RunIsolated(*t, /*scripted=*/true);
+        DP_CHECK(t->result.latency == latency);
+      }
       return *t;
     }
   }
-  // First miss: run the cold start alone on a private simulator and fabric.
-  // Fabric and engine arithmetic use only time differences, so the result
-  // holds for the same run started at any time on an idle fabric.
   auto tmpl = std::make_unique<ColdTemplate>();
   tmpl->model = model;
   tmpl->plan = plan;
@@ -314,6 +387,16 @@ const ColdTemplate& Engine::TemplateFor(const Model& model,
   tmpl->options = options;
   tmpl->options.causal_request = -1;
   tmpl->options.causal_root = -1;
+  RunIsolated(*tmpl, scripted);
+  scratch_->templates.push_back(std::move(tmpl));
+  return *scratch_->templates.back();
+}
+
+void Engine::RunIsolated(ColdTemplate& tmpl, bool scripted) {
+  // The cold start alone on a private simulator and fabric. Fabric and
+  // engine arithmetic use only time differences, so the result holds for the
+  // same run started at any time on an idle fabric. Recording moves no
+  // event, so a scripted run is the unscripted one bit for bit.
   // Charged to the enclosing engine.cold_start scope as time only: the
   // private run's events and solves are not the profiled simulation's.
   const selfprof::SuspendLane suspend;
@@ -323,22 +406,87 @@ const ColdTemplate& Engine::TemplateFor(const Model& model,
   fabric.fabric().set_telemetry(nullptr, &registry);
   Engine engine(&sim, &fabric, perf_);
   engine.fast_forward_ = false;
+  // A scripted run records into a private graph from time 0 as request 0,
+  // whose arrival node 0 is the root.
+  CausalGraph graph(/*enabled=*/true);
+  ColdRunOptions options = tmpl.options;
+  if (scripted) {
+    engine.set_causal(&graph);
+    options.causal_request = graph.BeginRequest(0, 0, 0);
+    options.causal_root = graph.arrival_node(options.causal_request);
+    DP_CHECK(options.causal_root == 0);
+  }
   bool finished = false;
-  engine.RunCold(model, plan, primary, secondaries, tmpl->options,
+  engine.RunCold(tmpl.model, tmpl.plan, tmpl.primary, tmpl.secondaries, options,
                  [&](const InferenceResult& result) {
-                   tmpl->result = result;
+                   tmpl.result = result;
                    finished = true;
                  });
   sim.Run();
   DP_CHECK(finished);
-  tmpl->fabric_end = fabric.fabric().last_departure();
-  tmpl->fabric_transfers = registry.counter("fabric.transfers");
-  tmpl->fabric_bytes = registry.counter("fabric.bytes");
-  scratch_->templates.push_back(std::move(tmpl));
-  return *scratch_->templates.back();
+  tmpl.fabric_end = fabric.fabric().last_departure();
+  tmpl.fabric_transfers = registry.counter("fabric.transfers");
+  tmpl.fabric_bytes = registry.counter("fabric.bytes");
+  if (!scripted) {
+    return;
+  }
+  auto script = std::make_unique<NodeScript>();
+  const std::vector<CpNode>& nodes = graph.nodes();
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    NodeScript::Entry entry;
+    entry.node = nodes[i];
+    entry.node.id = -1;
+    entry.node.request = -1;
+    // Record time (the end) never decreases along the script.
+    DP_CHECK(script->entries.empty() ||
+             entry.node.end >= script->entries.back().node.end);
+    script->entries.push_back(std::move(entry));
+  }
+  int last_to = 0;
+  for (const auto& [from, to] : graph.edges()) {
+    // Grouping edges by target keeps their order only if targets ascend.
+    DP_CHECK(to > 0 && to >= last_to);
+    last_to = to;
+    script->entries[Idx(to - 1)].from.push_back(
+        from == 0 ? NodeScript::kRoot : from - 1);
+  }
+  const CpNodeId terminal = tmpl.result.causal_terminal;
+  script->terminal = terminal >= 0 ? terminal - 1 : -1;
+  tmpl.result.causal_terminal = -1;
+  tmpl.script = std::move(script);
 }
 
-void Engine::FastForward(const ColdTemplate& tmpl,
+bool Engine::CollidesWithRecording(const NodeScript& script,
+                                   Nanos latency) const {
+  // Record time of script node i of a run started at `start`; i == size is
+  // the completion, which comes last.
+  const auto record_at = [](const NodeScript& sc, std::size_t i, Nanos start,
+                            Nanos run_latency) {
+    return start + (i < sc.entries.size() ? sc.entries[i].node.end : run_latency);
+  };
+  for (const FastForwardRun* other : recording_) {
+    // Both lists ascend, so one merge walk finds any shared instant.
+    const NodeScript& theirs = *other->tmpl->script;
+    std::size_t i = 0;
+    std::size_t j = other->next_node;
+    while (i <= script.entries.size() && j <= theirs.entries.size()) {
+      const Nanos a = record_at(script, i, sim_->now(), latency);
+      const Nanos b =
+          record_at(theirs, j, other->start, other->tmpl->result.latency);
+      if (a == b) {
+        return true;
+      }
+      if (a < b) {
+        ++i;
+      } else {
+        ++j;
+      }
+    }
+  }
+  return false;
+}
+
+void Engine::FastForward(const ColdTemplate& tmpl, const ColdRunOptions& options,
                          std::function<void(InferenceResult)> done) {
   selfprof::AddCount(selfprof::Counter::kColdFastForward, 1);
   FastForwardRun* ff = scratch_->fast_forwards.Acquire();
@@ -346,10 +494,24 @@ void Engine::FastForward(const ColdTemplate& tmpl,
   ff->start = sim_->now();
   ff->start_seq = sim_->next_seq();
   ff->done = std::move(done);
+  ff->causal_request = -1;
+  ff->causal_root = -1;
+  ff->next_node = 0;
+  ff->emitted.clear();
+  if (causal_ != nullptr && causal_->enabled() && options.causal_request >= 0) {
+    ff->causal_request = options.causal_request;
+    ff->causal_root = options.causal_root >= 0
+                          ? options.causal_root
+                          : causal_->arrival_node(options.causal_request);
+    if (ff->recording()) {
+      recording_.push_back(ff);
+    }
+  }
   sim_->HoldDispatchLog(ff->start);
   if (tmpl.fabric_end >= 0) {
-    fabric_->fabric().Reserve(ff->start + tmpl.fabric_end,
-                              [this, ff]() { Materialize(ff, /*join=*/true); });
+    fabric_->fabric().Reserve(ff->start + tmpl.fabric_end, [this, ff]() {
+      Materialize(ff, CatchUpCause::kJoin);
+    });
   }
   ff->completion = sim_->ScheduleAt(ff->start + tmpl.result.latency,
                                     [this, ff]() { FinishFastForward(ff); });
@@ -365,11 +527,22 @@ void Engine::FinishFastForward(FastForwardRun* ff) {
   // run is replayed to find its exact position (same-ns tie rule).
   const EventQueue& queue = sim_->event_queue();
   if (!queue.empty() && queue.NextTime() == sim_->now()) {
-    Materialize(ff, /*join=*/false);
+    Materialize(ff, CatchUpCause::kCompletionTie);
     return;
   }
   CreditFabricCounters(*ff->tmpl);
-  const InferenceResult result = ff->tmpl->result;
+  InferenceResult result = ff->tmpl->result;
+  if (ff->causal_request >= 0) {
+    // Everything the run records is due by now: it goes out in time order
+    // with the other runs' nodes before the completion's own mutations.
+    EmitScripts(ff);
+    StopRecording(ff);
+    while (ff->recording()) {
+      EmitScriptNode(ff);
+    }
+    const int terminal = ff->tmpl->script->terminal;
+    result.causal_terminal = terminal >= 0 ? ff->emitted[Idx(terminal)] : -1;
+  }
   std::function<void(InferenceResult)> done = std::move(ff->done);
   sim_->ReleaseDispatchLog(ff->start);
   scratch_->fast_forwards.Release(ff);
@@ -384,36 +557,115 @@ void Engine::CreditFabricCounters(const ColdTemplate& tmpl) {
   }
 }
 
-void Engine::Materialize(FastForwardRun* ff, bool join) {
+void Engine::EmitScripts(const FastForwardRun* finishing) {
+  if (emitting_ || recording_.empty()) {
+    return;
+  }
+  const Nanos now = sim_->now();
+  // Nodes due at now() precede this mutation only once every event at now()
+  // has fired (a drained RunUntil horizon).
+  const bool through_now = sim_->drained_through_now();
+  for (;;) {
+    FastForwardRun* next = nullptr;
+    for (FastForwardRun* ff : recording_) {
+      if (ff->recording() &&
+          (next == nullptr || ff->NextRecordAt() < next->NextRecordAt())) {
+        next = ff;
+      }
+    }
+    if (next == nullptr || next->NextRecordAt() > now ||
+        (next->NextRecordAt() == now && !through_now)) {
+      break;
+    }
+    EmitScriptNode(next);
+  }
+  if (!sim_->in_dispatch()) {
+    return;  // nodes due at now() come after this mutation
+  }
+  // A node due at this instant may come before or after the current
+  // dispatch: replay its run to find out (same-ns tie rule). At most one run
+  // has one, as CollidesWithRecording keeps their record instants apart.
+  for (FastForwardRun* ff : recording_) {
+    if (ff != finishing && ff->recording() && ff->NextRecordAt() == now) {
+      DP_CHECK(!sim_->catching_up());
+      Materialize(ff, CatchUpCause::kRecordTie);
+      break;
+    }
+  }
+}
+
+void Engine::EmitScriptNode(FastForwardRun* ff) {
+  emitting_ = true;  // the emission's own graph calls skip the hook
+  const NodeScript::Entry& entry = ff->tmpl->script->entries[ff->next_node];
+  CpNode node = entry.node;
+  node.request = ff->causal_request;
+  node.start += ff->start;
+  node.end += ff->start;
+  const CpNodeId id = causal_->AddNode(std::move(node));
+  ff->emitted.push_back(id);
+  for (const int from : entry.from) {
+    causal_->AddEdge(
+        from == NodeScript::kRoot ? ff->causal_root : ff->emitted[Idx(from)],
+        id);
+  }
+  ++ff->next_node;
+  emitting_ = false;
+}
+
+void Engine::StopRecording(const FastForwardRun* ff) {
+  recording_.erase(std::remove(recording_.begin(), recording_.end(), ff),
+                   recording_.end());
+}
+
+void Engine::Materialize(FastForwardRun* ff, CatchUpCause cause) {
   selfprof::AddCount(selfprof::Counter::kColdMaterialized, 1);
   const ColdTemplate& tmpl = *ff->tmpl;
+  StopRecording(ff);
   ServerFabric* const real_fabric = fabric_;
-  if (join) {
+  Fabric& fabric = real_fabric->fabric();
+  // The replay issues the run's transfers on the real fabric while they
+  // would still be on it (inside the reservation, which is then the run's
+  // own: nothing else reserves a busy fabric), else on a private one.
+  const bool on_real_fabric =
+      cause == CatchUpCause::kJoin ||
+      (cause == CatchUpCause::kRecordTie && tmpl.fabric_end >= 0 &&
+       sim_->now() <= ff->start + tmpl.fabric_end);
+  if (cause != CatchUpCause::kCompletionTie) {
     sim_->Cancel(ff->completion);
-  } else {
-    CreditFabricCounters(tmpl);  // the replay below runs on a private fabric
+  }
+  if (cause == CatchUpCause::kRecordTie && (on_real_fabric || !fabric.reserved())) {
+    fabric.ReleaseReservation();  // ours, open or expired (or none)
+  }
+  if (!on_real_fabric) {
+    CreditFabricCounters(tmpl);
     if (scratch_->replay_fabric == nullptr) {
       scratch_->replay_fabric =
           std::make_unique<ServerFabric>(sim_, &fabric_->topology());
     }
     fabric_ = scratch_->replay_fabric.get();
   }
+  ColdRunOptions options = tmpl.options;
+  options.causal_request = ff->causal_request;
+  options.causal_root = ff->causal_root;
   std::function<void(InferenceResult)> done = std::move(ff->done);
   sim_->CatchUp(
       ff->start, ff->start_seq,
-      join ? Simulator::CatchUpUntil::kCurrentDispatch
-           : Simulator::CatchUpUntil::kBeforeNow,
+      cause == CatchUpCause::kCompletionTie ? Simulator::CatchUpUntil::kBeforeNow
+                                            : Simulator::CatchUpUntil::kCurrentDispatch,
       [&]() {
         StartCold(tmpl.model, tmpl.plan, tmpl.primary, tmpl.secondaries,
-                  tmpl.options, std::move(done));
+                  options, std::move(done), ff->emitted);
       },
       [&]() {
         // The joining Start's reallocation re-issues these, exactly as the
         // event-by-event run does at this instant.
-        if (join) {
+        if (cause == CatchUpCause::kJoin) {
           fabric_->fabric().DropCompletionEvents();
         }
       });
+  if (cause == CatchUpCause::kRecordTie && on_real_fabric) {
+    fabric.FollowSplicedCompletionEvents();  // no Start re-issues them
+  }
   fabric_ = real_fabric;
   sim_->ReleaseDispatchLog(ff->start);
   scratch_->fast_forwards.Release(ff);
@@ -428,7 +680,8 @@ void Engine::OnTransferDone(ColdRun* run) {
 void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
                        GpuId primary, const std::vector<GpuId>& secondaries,
                        const ColdRunOptions& options,
-                       std::function<void(InferenceResult)> done) {
+                       std::function<void(InferenceResult)> done,
+                       const std::vector<CpNodeId>& reuse) {
   const std::size_t n = model.num_layers();
   ColdRun* run = scratch_->pool.Acquire();
   const std::size_t parts = Idx(plan.num_partitions());
@@ -461,6 +714,9 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
   run->causal_root = -1;
   run->last_exec = -1;
   run->all_loaded_source = -1;
+  run->reuse.assign(reuse.begin(), reuse.end());
+  run->records = 0;
+  run->reused_last = false;
 
   // Causal profiling is per-run: active only when a graph is attached AND
   // this run was given a request to hang its nodes off.
@@ -566,11 +822,10 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
           [this, run, p, k, self, on_arrival, target, op_start](Nanos) {
             run->result.partitions[Idx(p)].pcie_done = sim_->now() - run->start;
             const LoadItem& item = run->part_items[Idx(p)][k];
-            const CpNodeId node =
-                RecordOp(run->causal_request, CpKind::kPcie, "load ", item.name,
-                         target, target, op_start, item.bytes);
+            const CpNodeId node = RecordOp(run, CpKind::kPcie, "load ", item.name,
+                                           target, target, op_start, item.bytes);
             if (run->causal_request >= 0) {
-              causal_->AddEdge(run->pcie_prev[Idx(p)], node);
+              RecordEdge(run, run->pcie_prev[Idx(p)], node);
               run->pcie_prev[Idx(p)] = node;
               for (const std::size_t li : item.layer_indices) {
                 (p == 0 ? run->layer_source : run->secondary_source)[li] = node;
@@ -619,14 +874,15 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
                op_done = std::move(op_done)](Nanos) {
                 const LoadItem& item = run->part_items[Idx(p)][k];
                 const CpNodeId node =
-                    RecordOp(run->causal_request, CpKind::kNvlink, "migrate ",
-                             item.name, src, primary, op_start, item.bytes);
+                    RecordOp(run, CpKind::kNvlink, "migrate ", item.name, src,
+                             primary, op_start, item.bytes);
                 if (run->causal_request >= 0) {
-                  causal_->AddEdge(run->mig_prev[Idx(p)], node);
+                  RecordEdge(run, run->mig_prev[Idx(p)], node);
                   // The migration waited on this item's PCIe delivery to the
                   // secondary GPU (one PCIe node covers the whole item).
-                  causal_->AddEdge(
-                      run->secondary_source[item.layer_indices.front()], node);
+                  RecordEdge(run,
+                             run->secondary_source[item.layer_indices.front()],
+                             node);
                   run->mig_prev[Idx(p)] = node;
                   for (const std::size_t li : item.layer_indices) {
                     run->layer_source[li] = node;
@@ -656,14 +912,14 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
             fabric_->GpuToGpuPath(src, primary), bytes, nvlink_latency,
             [this, run, p, src, primary, bytes, op_start, on_arrival, name,
              op_done = std::move(op_done)](Nanos) {
-              const CpNodeId node = RecordOp(run->causal_request, CpKind::kNvlink,
-                                             "migrate ", name, src, primary,
-                                             op_start, bytes);
+              const CpNodeId node = RecordOp(run, CpKind::kNvlink, "migrate ",
+                                             name, src, primary, op_start, bytes);
               if (run->causal_request >= 0) {
-                causal_->AddEdge(run->mig_prev[Idx(p)], node);
+                RecordEdge(run, run->mig_prev[Idx(p)], node);
                 for (const LoadItem& item : run->part_items[Idx(p)]) {
-                  causal_->AddEdge(
-                      run->secondary_source[item.layer_indices.front()], node);
+                  RecordEdge(run,
+                             run->secondary_source[item.layer_indices.front()],
+                             node);
                 }
                 run->mig_prev[Idx(p)] = node;
                 for (const LoadItem& item : run->part_items[Idx(p)]) {
@@ -707,15 +963,14 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
                                    loads, pipelined, name,
                                    op_done = std::move(op_done)]() {
           const CpNodeId node =
-              RecordOp(run->causal_request, CpKind::kExec,
-                       dha ? "exec(DHA) " : "exec ", name, primary, primary,
-                       op_start, /*bytes=*/0, dha_pcie);
+              RecordOp(run, CpKind::kExec, dha ? "exec(DHA) " : "exec ", name,
+                       primary, primary, op_start, /*bytes=*/0, dha_pcie);
           if (run->causal_request >= 0) {
-            causal_->AddEdge(run->last_exec, node);
+            RecordEdge(run, run->last_exec, node);
             if (loads) {
-              causal_->AddEdge(pipelined ? run->layer_source[i]
-                                         : run->all_loaded_source,
-                               node);
+              RecordEdge(run,
+                         pipelined ? run->layer_source[i] : run->all_loaded_source,
+                         node);
             }
             run->last_exec = node;
           }

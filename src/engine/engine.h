@@ -110,6 +110,7 @@ namespace engine_internal {
 struct ColdRun;
 struct ColdTemplate;
 struct FastForwardRun;
+struct NodeScript;
 }  // namespace engine_internal
 
 class Engine {
@@ -129,19 +130,23 @@ class Engine {
   // then record every PCIe transfer, NVLink migration, and layer execution as
   // a happens-before DAG node (with solo durations on transfers for
   // contention attribution). nullptr detaches; disabled cost is one pointer
-  // test per operation.
-  void set_causal(CausalGraph* graph) { causal_ = graph; }
+  // test per operation. Installs the graph's pre-record hook, through which
+  // fast-forwarded runs emit their nodes in the order an event-by-event run
+  // records them; one engine per graph at a time (DP_CHECKed).
+  void set_causal(CausalGraph* graph);
 
   // Cold start: provision `model` according to `plan` onto `primary`
   // (partitions k>0 load via secondaries[k-1]) and execute one inference.
   // `done` fires at completion. Multiple concurrent runs interact through the
   // shared fabric.
   //
-  // A run that records nothing and starts on an idle fabric is fast-forwarded
-  // (DESIGN.md §16): one completion event replays a memoized template of the
-  // same run. If another transfer joins while the template's transfers would
-  // still be on the fabric, the run is first caught up event by event to that
-  // instant. Results and timing are identical either way.
+  // A run that records no trace and starts on an idle fabric is fast-
+  // forwarded (DESIGN.md §16): one completion event replays a memoized
+  // template of the same run, and a run recording causal nodes emits the
+  // template's node script with the ids the event-by-event run assigns. If
+  // another transfer joins while the template's transfers would still be on
+  // the fabric, the run is first caught up event by event to that instant.
+  // Results, timing and journals are identical either way.
   void RunCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                std::vector<GpuId> secondaries, const ColdRunOptions& options,
                std::function<void(InferenceResult)> done);
@@ -176,51 +181,89 @@ class Engine {
   using ColdRun = engine_internal::ColdRun;
   using ColdTemplate = engine_internal::ColdTemplate;
   using FastForwardRun = engine_internal::FastForwardRun;
+  using NodeScript = engine_internal::NodeScript;
+
+  // Why a fast-forwarded run is replayed event by event.
+  enum class CatchUpCause {
+    kJoin,           // a transfer starts inside the run's fabric reservation
+    kCompletionTie,  // other events are due at the run's completion instant
+    kRecordTie,      // a graph mutation comes at the instant of a script node
+  };
 
   // The event-by-event cold run: builds the run's streams and starts its
-  // transfer chains.
+  // transfer chains. `reuse` holds the graph ids a fast-forwarded run already
+  // emitted for the first script nodes, which a catch-up hands back instead
+  // of recording them again.
   void StartCold(const Model& model, const ExecutionPlan& plan, GpuId primary,
                  const std::vector<GpuId>& secondaries,
                  const ColdRunOptions& options,
-                 std::function<void(InferenceResult)> done);
+                 std::function<void(InferenceResult)> done,
+                 const std::vector<CpNodeId>& reuse = {});
   // Counts one of the run's fabric transfers as finished.
   void OnTransferDone(ColdRun* run);
-  // The memoized template for this run's value key, built on first use.
-  const ColdTemplate& TemplateFor(const Model& model, const ExecutionPlan& plan,
-                                  GpuId primary,
-                                  const std::vector<GpuId>& secondaries,
-                                  const ColdRunOptions& options);
+  // The memoized template for this run's value key, built on first use;
+  // with `scripted`, its node script too (built on the first recording hit).
+  ColdTemplate& TemplateFor(const Model& model, const ExecutionPlan& plan,
+                            GpuId primary, const std::vector<GpuId>& secondaries,
+                            const ColdRunOptions& options, bool scripted);
+  // Fills `tmpl`'s value from one private isolated run of its key, and its
+  // node script when `scripted`.
+  void RunIsolated(ColdTemplate& tmpl, bool scripted);
   // No transfer in flight, none still to be issued, no open reservation.
   bool FabricIdle() const;
-  void FastForward(const ColdTemplate& tmpl,
+  // Whether a recorded run of `script` started now would emit a node (or
+  // complete, after `latency`) at the same instant as a recorded fast-
+  // forwarded run in flight: their relative order is unknown, so it runs
+  // event by event instead.
+  bool CollidesWithRecording(const NodeScript& script, Nanos latency) const;
+  void FastForward(const ColdTemplate& tmpl, const ColdRunOptions& options,
                    std::function<void(InferenceResult)> done);
   void FinishFastForward(FastForwardRun* ff);
   // Adds a run's transfers to the fabric's registry, if one is attached, for
   // runs whose transfers never went through the real fabric.
   void CreditFabricCounters(const ColdTemplate& tmpl);
   // Replays a fast-forwarded run event by event up to the current instant
-  // and leaves it running event by event from there. `join` is the
-  // reservation-hit case (a Start inside the window); otherwise the run is at
-  // its completion instant and replays on a private fabric.
-  void Materialize(FastForwardRun* ff, bool join);
+  // (for kCompletionTie: up to just before it) and leaves it running event
+  // by event from there. The replay runs on a private fabric once the run's
+  // transfers have all left the real one.
+  void Materialize(FastForwardRun* ff, CatchUpCause cause);
+
+  // The graph's pre-record hook: emits, in time order across runs, every
+  // script node the event-by-event runs would have recorded before the
+  // mutation about to happen, and catches up a run whose next node is due
+  // at this very instant. `finishing` (completing now) is never caught up.
+  void EmitScripts(const FastForwardRun* finishing = nullptr);
+  // Emits `ff`'s next script node and the edges recorded with it.
+  void EmitScriptNode(FastForwardRun* ff);
+  // Drops `ff` from the runs with script nodes still to emit.
+  void StopRecording(const FastForwardRun* ff);
 
   // Records one finished cold-run operation, [start, now] in absolute time,
   // to every attached sink: the trace recorder (async interval for kPcie and
-  // kNvlink, span for kExec) and, when `causal_request` >= 0, the causal
-  // graph. Label ("<verb><name>") and track ("pcie/gpu<to>",
+  // kNvlink, span for kExec) and, when the run has a causal request, the
+  // causal graph. Label ("<verb><name>") and track ("pcie/gpu<to>",
   // "nvlink/<from>-><to>", "exec/gpu<to>") are built once, and only when a
   // sink records; transfer solo durations and routes are computed only for
   // the causal graph. Returns the causal node (-1 when none is recorded) so
-  // the caller can wire its happens-before edges.
-  CpNodeId RecordOp(int causal_request, CpKind kind, std::string_view verb,
+  // the caller can wire its happens-before edges with RecordEdge.
+  CpNodeId RecordOp(ColdRun* run, CpKind kind, std::string_view verb,
                     std::string_view name, GpuId from, GpuId to, Nanos start,
                     std::int64_t bytes = 0, Nanos dha_pcie = 0);
+  // Records a happens-before edge into the node RecordOp just returned,
+  // unless that node was handed back from `reuse` (its edges were emitted
+  // with it).
+  void RecordEdge(const ColdRun* run, CpNodeId from, CpNodeId to);
 
   Simulator* sim_;
   ServerFabric* fabric_;
   const PerfModel* perf_;
   TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;
+  std::shared_ptr<CausalRecordHook> record_hook_;  // installed on causal_
+  // Recorded fast-forwarded runs with script nodes still to emit, and
+  // whether EmitScripts is emitting (its own graph calls skip the hook).
+  std::vector<FastForwardRun*> recording_;
+  bool emitting_ = false;
   int pid_ = 0;
   // Pairs async begin/end events for load/migrate intervals: concurrent cold
   // runs share PCIe/NVLink tracks, so their transfer slices may overlap and

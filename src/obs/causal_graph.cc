@@ -70,8 +70,17 @@ void CausalGraph::RetireLive(std::map<int, CpRequestRecord>::iterator it) {
   stream_->sink->OnRequestRetired(std::move(record));
 }
 
+void CausalGraph::SetRecordHook(std::shared_ptr<CausalRecordHook> hook) {
+  DP_CHECK(hook != nullptr);
+  DP_CHECK(record_hook_ == nullptr || !record_hook_->armed());
+  record_hook_ = std::move(hook);
+}
+
 void CausalGraph::FlushOpenRequests() {
-  DP_CHECK(stream_ != nullptr);
+  BeforeRecord();
+  if (stream_ == nullptr) {
+    return;
+  }
   MutexLock lock(stream_->mu);
   while (!stream_->live.empty()) {
     RetireLive(stream_->live.begin());
@@ -82,27 +91,31 @@ int CausalGraph::BeginRequest(int process, int instance, Nanos arrival) {
   if (!enabled_) {
     return -1;
   }
+  BeforeRecord();
   CpRequest req;
   req.process = process;
   req.instance = instance;
   req.arrival = arrival;
+  CpNode root;
+  root.kind = CpKind::kArrival;
+  root.label = "arrival";
+  root.start = arrival;
+  root.end = arrival;
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
     req.id = static_cast<int>(stream_->next_request++);
     CpRequestRecord rec;
     rec.request = req;
     stream_->live.emplace(req.id, std::move(rec));
-    const CpNodeId root = AddNodeLocked(req.id, CpKind::kArrival, "arrival",
-                                        "", arrival, arrival,
-                                        /*bytes=*/0, /*solo=*/-1);
-    stream_->live.find(req.id)->second.request.arrival_node = root;
+    root.request = req.id;
+    const CpNodeId root_id = AddNodeLocked(std::move(root));
+    stream_->live.find(req.id)->second.request.arrival_node = root_id;
     return req.id;
   }
   req.id = static_cast<int>(requests_.size());
   requests_.push_back(req);
-  const CpNodeId root = AddNode(req.id, CpKind::kArrival, "arrival", "",
-                                arrival, arrival);
-  requests_.back().arrival_node = root;
+  root.request = req.id;
+  requests_.back().arrival_node = AppendNode(std::move(root));
   return req.id;
 }
 
@@ -112,11 +125,6 @@ CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string label,
   if (!enabled_ || request < 0) {
     return -1;
   }
-  if (stream_ != nullptr) {
-    MutexLock lock(stream_->mu);
-    return AddNodeLocked(request, kind, std::move(label), std::move(resource),
-                         start, end, bytes, solo);
-  }
   CpNode node;
   node.request = request;
   node.kind = kind;
@@ -126,29 +134,33 @@ CpNodeId CausalGraph::AddNode(int request, CpKind kind, std::string label,
   node.end = end;
   node.bytes = bytes;
   node.solo = solo;
-  DP_CHECK(request < static_cast<int>(requests_.size()));
+  return AddNode(std::move(node));
+}
+
+CpNodeId CausalGraph::AddNode(CpNode node) {
+  if (!enabled_ || node.request < 0) {
+    return -1;
+  }
+  BeforeRecord();
+  if (stream_ != nullptr) {
+    MutexLock lock(stream_->mu);
+    return AddNodeLocked(std::move(node));
+  }
+  return AppendNode(std::move(node));
+}
+
+CpNodeId CausalGraph::AppendNode(CpNode node) {
+  DP_CHECK(node.request < static_cast<int>(requests_.size()));
   node.id = static_cast<CpNodeId>(nodes_.size());
   nodes_.push_back(std::move(node));
   return nodes_.back().id;
 }
 
-CpNodeId CausalGraph::AddNodeLocked(int request, CpKind kind,
-                                    std::string label, std::string resource,
-                                    Nanos start, Nanos end, std::int64_t bytes,
-                                    Nanos solo) {
-  CpNode node;
-  node.request = request;
-  node.kind = kind;
-  node.label = std::move(label);
-  node.resource = std::move(resource);
-  node.start = start;
-  node.end = end;
-  node.bytes = bytes;
-  node.solo = solo;
-  const auto it = stream_->live.find(request);
+CpNodeId CausalGraph::AddNodeLocked(CpNode node) {
+  const auto it = stream_->live.find(node.request);
   DP_CHECK(it != stream_->live.end());
   node.id = static_cast<CpNodeId>(stream_->next_node++);
-  stream_->live_node_owner.emplace(node.id, request);
+  stream_->live_node_owner.emplace(node.id, node.request);
   it->second.nodes.push_back(std::move(node));
   return it->second.nodes.back().id;
 }
@@ -184,6 +196,7 @@ void CausalGraph::AddEdge(CpNodeId from, CpNodeId to) {
   if (!enabled_ || from < 0 || to < 0) {
     return;
   }
+  BeforeRecord();
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
     const auto from_owner = stream_->live_node_owner.find(from);
@@ -221,6 +234,7 @@ void CausalGraph::EndRequest(int request, Nanos completion, CpNodeId terminal) {
   if (!enabled_ || request < 0) {
     return;
   }
+  BeforeRecord();
   if (stream_ != nullptr) {
     MutexLock lock(stream_->mu);
     const auto it = stream_->live.find(request);

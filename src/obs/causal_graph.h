@@ -34,6 +34,7 @@
 #define SRC_OBS_CAUSAL_GRAPH_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -130,6 +131,28 @@ class CausalSink {
   virtual void OnRequestRetired(CpRequestRecord&& record) = 0;
 };
 
+// A recorder's pre-record hook: the graph calls it before every mutation that
+// allocates an id or retires a request, so a recorder holding records it has
+// not emitted yet (a fast-forwarded cold start's node script, DESIGN.md §16)
+// can emit the ones that come first. The graph and the recorder that installs
+// it share the hook; the recorder disarms it when it detaches or goes away,
+// so neither has to outlive the other.
+class CausalRecordHook {
+ public:
+  explicit CausalRecordHook(std::function<void()> before_record)
+      : before_record_(std::move(before_record)) {}
+  bool armed() const { return before_record_ != nullptr; }
+  void Disarm() { before_record_ = nullptr; }
+  void BeforeRecord() const {
+    if (before_record_) {
+      before_record_();
+    }
+  }
+
+ private:
+  std::function<void()> before_record_;
+};
+
 class CausalGraph {
  public:
   CausalGraph() = default;
@@ -150,6 +173,9 @@ class CausalGraph {
   CpNodeId AddNode(int request, CpKind kind, std::string label,
                    std::string resource, Nanos start, Nanos end,
                    std::int64_t bytes = 0, Nanos solo = -1);
+  // Records a prebuilt node (request, kind, label, resource, times, bytes,
+  // solo, path and dha_pcie all set by the caller); its id is assigned here.
+  CpNodeId AddNode(CpNode node);
 
   // Attaches the fabric route a transfer node crossed (link names +
   // capacities). No-op when disabled or `node` is -1.
@@ -187,10 +213,20 @@ class CausalGraph {
   void AttachSink(CausalSink* sink);
   bool streaming() const { return stream_ != nullptr; }
 
-  // Streaming only: retires every still-open request (completion -1) to the
-  // sink in request-id order, so an interrupted or tail-truncated run still
-  // journals deterministically. Call once after the simulation drains.
+  // Ends recording: the pre-record hook emits what a recorder still holds
+  // (nodes a fast-forwarded cold start recorded by the time the simulation
+  // drained or stopped at a RunUntil horizon), then, when streaming, every
+  // still-open request (completion -1) retires to the sink in request-id
+  // order, so an interrupted or tail-truncated run still journals
+  // deterministically. Call once after the simulation drains or stops,
+  // while the recorder is still attached.
   void FlushOpenRequests();
+
+  // Installs the pre-record hook, called before BeginRequest, AddNode,
+  // AddEdge, EndRequest and FlushOpenRequests. It replaces a disarmed hook
+  // only: a graph has one armed hook, as one recorder buffers records per
+  // graph (DP_CHECKed).
+  void SetRecordHook(std::shared_ptr<CausalRecordHook> hook);
 
   // Merges `other` into this graph, remapping its processes, requests, and
   // node ids past the ones already present (stitches per-task graphs from a
@@ -237,10 +273,13 @@ class CausalGraph {
     std::unordered_map<CpNodeId, int> live_node_owner GUARDED_BY(mu);
   };
 
-  CpNodeId AddNodeLocked(int request, CpKind kind, std::string label,
-                         std::string resource, Nanos start, Nanos end,
-                         std::int64_t bytes, Nanos solo)
-      REQUIRES(stream_->mu);
+  void BeforeRecord() const {
+    if (record_hook_ != nullptr) {
+      record_hook_->BeforeRecord();
+    }
+  }
+  CpNodeId AddNodeLocked(CpNode node) REQUIRES(stream_->mu);
+  CpNodeId AppendNode(CpNode node);
   CpNode* LiveNode(CpNodeId node) REQUIRES(stream_->mu);
   void RetireLive(std::map<int, CpRequestRecord>::iterator it)
       REQUIRES(stream_->mu);
@@ -255,6 +294,7 @@ class CausalGraph {
   std::vector<std::pair<CpNodeId, CpNodeId>> edges_;
 
   std::unique_ptr<StreamState> stream_;  // non-null iff streaming()
+  std::shared_ptr<CausalRecordHook> record_hook_;
 };
 
 }  // namespace deepplan

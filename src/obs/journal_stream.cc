@@ -100,20 +100,44 @@ bool ReadZigzag(std::string_view data, std::size_t* pos, std::int64_t* out) {
 }
 
 std::uint32_t Crc32(std::string_view data) {
+  // Slicing-by-8: table[k][b] is the CRC of byte b followed by k zero bytes,
+  // so eight input bytes fold into the register with eight lookups.
   static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
     return t;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
+  // Little-endian word of four input bytes, independent of host byte order.
+  const auto word = [](const unsigned char* b) {
+    return static_cast<std::uint32_t>(b[0]) |
+           static_cast<std::uint32_t>(b[1]) << 8 |
+           static_cast<std::uint32_t>(b[2]) << 16 |
+           static_cast<std::uint32_t>(b[3]) << 24;
+  };
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<std::uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ word(p);
+    const std::uint32_t hi = word(p + 4);
+    crc = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^
+          table[5][(lo >> 16) & 0xFF] ^ table[4][lo >> 24] ^
+          table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+          table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = table[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

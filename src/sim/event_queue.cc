@@ -268,6 +268,7 @@ std::pair<Nanos, EventQueue::Callback> EventQueue::PopNext() {
   check::SimValidator::OnQueuePop(last_popped_, e.when);
   last_popped_ = e.when;
   last_popped_seq_ = e.seq;
+  last_popped_id_ = (static_cast<EventId>(e.gen) << 32) | e.slot;
   ++head_;
   --total_entries_;
   const SlotPool<Callback>::Handle h{e.slot, e.gen};

@@ -63,8 +63,9 @@ class EventQueue {
 
   // Pops and returns the earliest event (time + callback). Must not be empty.
   std::pair<Nanos, Callback> PopNext();
-  // Sequence number of the event PopNext last returned.
+  // Sequence number and id of the event PopNext last returned.
   std::uint64_t last_popped_seq() const { return last_popped_seq_; }
+  EventId last_popped_id() const { return last_popped_id_; }
   // Sequence number the next Schedule will assign.
   std::uint64_t next_seq() const { return seq_; }
   // Forgets the pop horizon the validator checks pops against, so a reused
@@ -126,6 +127,7 @@ class EventQueue {
   std::uint64_t seq_ = kSeqStride;  // > 0, so a gap exists before the first
   std::uint64_t scheduled_ = 0;
   std::uint64_t last_popped_seq_ = 0;
+  EventId last_popped_id_ = 0;
   // Entries physically resident in buckets_/cur_/pending_, including
   // cancelled ones not yet pruned.
   std::size_t total_entries_ = 0;

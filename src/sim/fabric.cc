@@ -108,6 +108,14 @@ void Fabric::DropCompletionEvents() {
   }
 }
 
+void Fabric::FollowSplicedCompletionEvents() {
+  for (Transfer& t : active_) {
+    if (t.has_completion_event) {
+      t.completion_event = sim_->SplicedEventId(t.completion_event);
+    }
+  }
+}
+
 Nanos Fabric::SoloDuration(const std::vector<LinkId>& path, std::int64_t bytes,
                            Nanos latency) const {
   if (bytes == 0 || path.empty()) {

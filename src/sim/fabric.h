@@ -75,6 +75,10 @@ class Fabric {
   // for the next reallocation to re-issue. A catch-up calls this on its side
   // queue just before a joining Start re-solves the fabric.
   void DropCompletionEvents();
+  // Points every in-flight transfer's completion event at the copy the last
+  // catch-up spliced into the main queue, for a catch-up that issued the
+  // transfers and has no joining Start to re-issue their completions.
+  void FollowSplicedCompletionEvents();
   // Time the most recent transfer drained off its links (-1 before any).
   Nanos last_departure() const { return last_departure_; }
   bool has_recorder() const { return recorder_ != nullptr; }

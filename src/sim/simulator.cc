@@ -186,22 +186,36 @@ void Simulator::CatchUp(Nanos start, std::uint64_t start_seq, CatchUpUntil until
   struct Pending {
     Nanos when;
     std::uint64_t seq;
+    EventQueue::EventId id;
     Callback cb;
   };
   std::vector<Pending> rest;
   rest.reserve(queue_.size());
   while (!queue_.empty()) {
     auto [when, cb] = queue_.PopNext();
-    rest.push_back({when, queue_.last_popped_seq(), std::move(cb)});
+    rest.push_back(
+        {when, queue_.last_popped_seq(), queue_.last_popped_id(), std::move(cb)});
   }
   std::swap(queue_, side_queue_);
   catching_up_ = false;
+  spliced_.clear();
   for (Pending& p : rest) {
-    queue_.ScheduleWithSeq(p.when, p.seq, std::move(p.cb));
+    spliced_.emplace_back(p.id,
+                          queue_.ScheduleWithSeq(p.when, p.seq, std::move(p.cb)));
   }
   queue_.AddScheduled(fired);
   dispatched_ += fired;
   selfprof::AddCount(selfprof::Counter::kEventsDispatched, fired);
+}
+
+EventQueue::EventId Simulator::SplicedEventId(EventQueue::EventId side_id) const {
+  for (const auto& [side, main] : spliced_) {
+    if (side == side_id) {
+      return main;
+    }
+  }
+  DP_CHECK(false && "event was not spliced by the last catch-up");
+  return 0;
 }
 
 void Simulator::AddProgressCounter(const std::uint64_t* counter) {

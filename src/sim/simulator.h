@@ -7,6 +7,7 @@
 #include <functional>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -93,6 +94,18 @@ class Simulator {
   void CatchUp(Nanos start, std::uint64_t start_seq, CatchUpUntil until,
                const std::function<void()>& body,
                const std::function<void()>& before_splice);
+  // The main-queue id the last catch-up gave a side event it spliced, for
+  // components that kept the side id (a fabric's completion events).
+  EventQueue::EventId SplicedEventId(EventQueue::EventId side_id) const;
+  bool catching_up() const { return catching_up_; }
+  // Whether an event callback is running, from the main queue or from a
+  // catch-up's side queue.
+  bool in_dispatch() const { return dispatching_ || catching_up_; }
+  // Whether every event at now() has fired: outside any dispatch, after a
+  // drain that fired everything at now() (RunUntil fires its deadline's).
+  bool drained_through_now() const {
+    return !in_dispatch() && drained_through_ >= now_;
+  }
 
  private:
   struct DispatchRecord {
@@ -133,6 +146,8 @@ class Simulator {
   std::uint64_t side_seq_ = 0;
   bool side_pos_valid_ = false;
   std::uint64_t side_pos_ = 0;
+  // (side id, main id) of every event the last catch-up spliced.
+  std::vector<std::pair<EventQueue::EventId, EventQueue::EventId>> spliced_;
   // Offsets already used in each splice gap (keyed by the gap's upper bound).
   std::unordered_map<std::uint64_t, std::uint64_t> gap_used_;
 };

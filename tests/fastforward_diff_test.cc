@@ -7,10 +7,15 @@
 // fabric traffic in a metrics registry; randomized engine
 // schedules cover bulk vs pipelined migration and transmission groups; the
 // directed cases pin the join and tie shapes the catch-up must get right.
+// Runs that record a causal journal are fast-forwarded too, so the recorded
+// variants also compare the streamed journal files and the accumulated
+// graph's JSON export byte for byte.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -20,6 +25,8 @@
 #include "src/engine/engine.h"
 #include "src/engine/strategies.h"
 #include "src/model/zoo.h"
+#include "src/obs/causal_graph.h"
+#include "src/obs/journal_stream.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/selfprof.h"
 #include "src/serving/server.h"
@@ -39,6 +46,55 @@ int Pick(Rng& rng, int lo, int hi) {
 struct FastForwardCounts {
   std::uint64_t hits = 0;
   std::uint64_t materialized = 0;
+};
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// What a recorded run is compared on.
+enum class Journal {
+  kNone,
+  kStream,  // a streaming graph writing the binary journal
+  kGraph,   // an accumulating graph, exported with ToJson
+};
+
+// Attaches a causal graph for `journal`, and returns the journal's bytes
+// (the file, or the JSON export) after the run.
+class JournalCapture {
+ public:
+  JournalCapture(Journal journal, const std::string& name)
+      : journal_(journal),
+        path_(::testing::TempDir() + "/" + name + ".dpj"),
+        graph_(journal != Journal::kNone) {
+    if (journal_ == Journal::kStream) {
+      EXPECT_TRUE(writer_.Open(path_));
+      graph_.AttachSink(&writer_);
+    }
+  }
+  CausalGraph* graph() { return journal_ == Journal::kNone ? nullptr : &graph_; }
+  // Call once the run is over, while its engine is still attached: the
+  // engine emits the nodes due by then, a streaming graph retires its open
+  // requests, and the journal is closed.
+  std::string Finish() {
+    if (journal_ == Journal::kNone) {
+      return "";
+    }
+    graph_.FlushOpenRequests();
+    if (journal_ == Journal::kGraph) {
+      return graph_.ToJson();
+    }
+    EXPECT_TRUE(writer_.Finish());
+    return ReadFile(path_);
+  }
+
+ private:
+  Journal journal_;
+  std::string path_;
+  JournalWriter writer_;
+  CausalGraph graph_;
 };
 
 // Runs `body` with a profiling lane installed and returns the fast-forward
@@ -80,13 +136,17 @@ std::string Describe(const ServingConfig& c) {
 
 struct ServingRun {
   std::vector<RequestRecord> records;
+  std::string journal;  // empty unless recorded
   // Fabric registry counters (attached on odd seeds; 0 otherwise).
   std::int64_t fabric_transfers = 0;
   std::int64_t fabric_bytes = 0;
   FastForwardCounts counts;
 };
 
-ServingRun RunServing(const ServingConfig& c, bool fast_forward) {
+ServingRun RunServing(const ServingConfig& c, bool fast_forward,
+                      Journal journal = Journal::kNone) {
+  JournalCapture capture(journal, "serving_" + std::to_string(c.seed) +
+                                      (fast_forward ? "_ff" : "_ebe"));
   const Topology topology = Topology::P3_8xlarge();
   const PerfModel perf(topology.gpu(), topology.pcie());
   ServerOptions options;
@@ -95,6 +155,9 @@ ServingRun RunServing(const ServingConfig& c, bool fast_forward) {
   options.usable_bytes_per_gpu = c.usable_bytes_per_gpu;
   Server server(topology, perf, options);
   server.set_fast_forward_for_testing(fast_forward);
+  if (capture.graph() != nullptr) {
+    server.set_causal(capture.graph(), capture.graph()->RegisterProcess("serve"));
+  }
   MetricsRegistry registry;
   if (c.seed % 2 == 1) {
     server.set_telemetry(nullptr, &registry);
@@ -113,6 +176,7 @@ ServingRun RunServing(const ServingConfig& c, bool fast_forward) {
       CountFastForwards([&]() { run.records = server.Run(trace).records(); });
   run.fabric_transfers = registry.counter("fabric.transfers");
   run.fabric_bytes = registry.counter("fabric.bytes");
+  run.journal = capture.Finish();
   return run;
 }
 
@@ -121,6 +185,7 @@ void ExpectSameRun(const ServingRun& fast, const ServingRun& slow,
   EXPECT_EQ(fast.fabric_transfers, slow.fabric_transfers) << what;
   EXPECT_EQ(fast.fabric_bytes, slow.fabric_bytes) << what;
   EXPECT_EQ(slow.counts.hits, 0u) << what;
+  EXPECT_TRUE(fast.journal == slow.journal) << what << ": journals differ";
   const std::vector<RequestRecord>& a = fast.records;
   const std::vector<RequestRecord>& b = slow.records;
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -136,34 +201,39 @@ void ExpectSameRun(const ServingRun& fast, const ServingRun& slow,
   }
 }
 
-TEST(FastForwardServingDiffTest, RandomConfigsMatchEventByEvent) {
+ServingConfig RandomServingConfig(std::uint64_t seed) {
   const std::vector<Model> zoo = {ModelZoo::BertBase(), ModelZoo::RobertaBase(),
                                   ModelZoo::Gpt2(), ModelZoo::ResNet50()};
   const std::vector<Strategy> strategies = {
       Strategy::kBaseline, Strategy::kPipeSwitch, Strategy::kDeepPlanDha,
       Strategy::kDeepPlanPt, Strategy::kDeepPlanPtDha};
+  Rng rng(seed * 7919);
+  ServingConfig c;
+  c.seed = seed;
+  c.strategy = strategies[Pick(rng, 0, static_cast<int>(strategies.size()) - 1)];
+  const int num_models = Pick(rng, 1, 3);
+  for (int m = 0; m < num_models; ++m) {
+    c.models.push_back(zoo[static_cast<std::size_t>(
+        Pick(rng, 0, static_cast<int>(zoo.size()) - 1))]);
+  }
+  c.instances_per_model = Pick(rng, 4, 24);
+  // Every fourth config is contention-dense: a high rate against little
+  // GPU memory, so cold starts overlap on the PCIe switches.
+  const bool dense = seed % 4 == 0;
+  c.rate_per_sec = dense ? rng.NextUniform(800.0, 1500.0) : rng.NextUniform(20.0, 400.0);
+  c.usable_bytes_per_gpu = dense ? 1'200'000'000 : 2'500'000'000;
+  c.duration = Millis(dense ? 600 : 1500);
+  const int evict_kind = Pick(rng, 0, 2);
+  c.eviction_cost = evict_kind == 0   ? 0
+                    : evict_kind == 1 ? Micros(200)
+                                      : Micros(Pick(rng, 1, 900));
+  return c;
+}
+
+TEST(FastForwardServingDiffTest, RandomConfigsMatchEventByEvent) {
   FastForwardCounts total;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    Rng rng(seed * 7919);
-    ServingConfig c;
-    c.seed = seed;
-    c.strategy = strategies[Pick(rng, 0, static_cast<int>(strategies.size()) - 1)];
-    const int num_models = Pick(rng, 1, 3);
-    for (int m = 0; m < num_models; ++m) {
-      c.models.push_back(zoo[static_cast<std::size_t>(
-          Pick(rng, 0, static_cast<int>(zoo.size()) - 1))]);
-    }
-    c.instances_per_model = Pick(rng, 4, 24);
-    // Every fourth config is contention-dense: a high rate against little
-    // GPU memory, so cold starts overlap on the PCIe switches.
-    const bool dense = seed % 4 == 0;
-    c.rate_per_sec = dense ? rng.NextUniform(800.0, 1500.0) : rng.NextUniform(20.0, 400.0);
-    c.usable_bytes_per_gpu = dense ? 1'200'000'000 : 2'500'000'000;
-    c.duration = Millis(dense ? 600 : 1500);
-    const int evict_kind = Pick(rng, 0, 2);
-    c.eviction_cost = evict_kind == 0   ? 0
-                      : evict_kind == 1 ? Micros(200)
-                                        : Micros(Pick(rng, 1, 900));
+    const ServingConfig c = RandomServingConfig(seed);
     const ServingRun fast = RunServing(c, /*fast_forward=*/true);
     ExpectSameRun(fast, RunServing(c, /*fast_forward=*/false), Describe(c));
     total.hits += fast.counts.hits;
@@ -172,6 +242,46 @@ TEST(FastForwardServingDiffTest, RandomConfigsMatchEventByEvent) {
   // The sweep exercised both paths.
   EXPECT_GT(total.hits, 100u);
   EXPECT_GT(total.materialized, 10u);
+}
+
+// The same randomized configs, contention-dense ones included, with a causal
+// journal recorded: streamed to a file and accumulated for ToJson.
+TEST(FastForwardServingDiffTest, RecordedConfigsMatchEventByEventJournals) {
+  FastForwardCounts total;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const ServingConfig c = RandomServingConfig(seed);
+    for (const Journal journal : {Journal::kStream, Journal::kGraph}) {
+      const ServingRun fast = RunServing(c, /*fast_forward=*/true, journal);
+      ASSERT_FALSE(fast.journal.empty());
+      ExpectSameRun(fast, RunServing(c, /*fast_forward=*/false, journal),
+                    Describe(c) + (journal == Journal::kStream ? " stream" : " json"));
+      total.hits += fast.counts.hits;
+      total.materialized += fast.counts.materialized;
+    }
+  }
+  EXPECT_GT(total.hits, 100u);
+  EXPECT_GT(total.materialized, 10u);
+}
+
+// Sparse cold starts that each evict first: the fast-forwarded runs hang
+// their script off the server's evict node instead of the arrival node.
+TEST(FastForwardServingDiffTest, EvictRootedRecordedColdStarts) {
+  ServingConfig c;
+  c.seed = 2;
+  c.models = {ModelZoo::BertBase()};
+  c.instances_per_model = 16;
+  c.rate_per_sec = 25.0;
+  c.duration = Seconds(2);
+  c.usable_bytes_per_gpu = 1'200'000'000;
+  c.eviction_cost = Micros(300);
+  for (const Journal journal : {Journal::kStream, Journal::kGraph}) {
+    const ServingRun fast = RunServing(c, /*fast_forward=*/true, journal);
+    ExpectSameRun(fast, RunServing(c, /*fast_forward=*/false, journal), Describe(c));
+    EXPECT_GT(fast.counts.hits, 5u);
+    if (journal == Journal::kGraph) {
+      EXPECT_NE(fast.journal.find("\"kind\":\"evict\""), std::string::npos);
+    }
+  }
 }
 
 TEST(FastForwardServingDiffTest, ValidatedBurstRunWithCatchUps) {
@@ -211,12 +321,16 @@ class FastForwardEngineDiff {
     bool all_dha = false;
     // Starts in the same callback as the previous run instead of its own.
     bool same_callback = false;
+    // Recorded runs: hang the run off an evict node instead of the arrival.
+    bool evict_root = false;
   };
   // An unrelated event at `at` that schedules another at `then`; both log
-  // their firing, so their order against cold completions is pinned.
+  // their firing, so their order against cold completions is pinned. In a
+  // recorded run each also records a request with one node, unless silent.
   struct Marker {
     Nanos at = 0;
     Nanos then = -1;
+    bool silent = false;
   };
 
   FastForwardEngineDiff()
@@ -244,13 +358,32 @@ class FastForwardEngineDiff {
   }
 
   // The completion log of one run: "<what> <time>" per completion, in order.
+  // With a capture, every cold run is a recorded request; with a horizon
+  // >= 0 the run stops there. The capture's bytes land in `journal`.
   std::vector<std::string> Run(const std::vector<Cold>& colds,
                                const std::vector<Marker>& markers,
-                               bool fast_forward, FastForwardCounts* counts) {
+                               bool fast_forward, FastForwardCounts* counts,
+                               JournalCapture* capture = nullptr,
+                               Nanos horizon = -1,
+                               std::string* journal = nullptr) {
     Simulator sim;
     ServerFabric fabric(&sim, &topology_);
     Engine engine(&sim, &fabric, &perf_);
     engine.set_fast_forward_for_testing(fast_forward);
+    CausalGraph* const graph = capture != nullptr ? capture->graph() : nullptr;
+    if (graph != nullptr) {
+      engine.set_causal(graph);
+      graph->RegisterProcess("cold");
+      graph->RegisterProcess("marker");
+    }
+    // A marker's record: one request whose single node is its terminal.
+    const auto mark = [&sim, graph](const std::string& name) {
+      const int r = graph->BeginRequest(1, -1, sim.now());
+      const CpNodeId n =
+          graph->AddNode(r, CpKind::kExec, name, "marker", sim.now(), sim.now());
+      graph->AddEdge(graph->arrival_node(r), n);
+      graph->EndRequest(r, sim.now(), n);
+    };
     std::vector<ExecutionPlan> plans;
     for (const Cold& c : colds) {
       plans.push_back(PlanFor(c));
@@ -267,8 +400,22 @@ class FastForwardEngineDiff {
       ColdRunOptions options = MakeColdRunOptions(c.strategy);
       options.migration = c.migration;
       options.transfer_group_layers = c.group;
+      int request = -1;
+      if (graph != nullptr) {
+        request = graph->BeginRequest(0, static_cast<int>(k), sim.now());
+        graph->MarkCold(request);
+        options.causal_request = request;
+        if (c.evict_root) {
+          options.causal_root = graph->AddNode(request, CpKind::kEvict, "evict",
+                                               "gpu", sim.now(), sim.now());
+          graph->AddEdge(graph->arrival_node(request), options.causal_root);
+        }
+      }
       engine.RunCold(models_[c.model], plan, c.primary, secondaries, options,
-                     [&log, &sim, k](const InferenceResult& r) {
+                     [&log, &sim, k, graph, request](const InferenceResult& r) {
+                       if (graph != nullptr) {
+                         graph->EndRequest(request, sim.now(), r.causal_terminal);
+                       }
                        std::string line = "cold" + std::to_string(k) + " " +
                                           std::to_string(sim.now()) + " lat=" +
                                           std::to_string(r.latency) + " load=" +
@@ -297,17 +444,33 @@ class FastForwardEngineDiff {
     }
     for (std::size_t m = 0; m < markers.size(); ++m) {
       const Marker mk = markers[m];
-      sim.ScheduleAt(mk.at, [&log, &sim, mk, m]() {
+      const bool records = graph != nullptr && !mk.silent;
+      sim.ScheduleAt(mk.at, [&log, &sim, mk, m, records, mark]() {
         log.push_back("marker" + std::to_string(m) + " " + std::to_string(sim.now()));
+        if (records) {
+          mark("marker" + std::to_string(m));
+        }
         if (mk.then >= 0) {
-          sim.ScheduleAt(mk.then, [&log, &sim, m]() {
+          sim.ScheduleAt(mk.then, [&log, &sim, m, records, mark]() {
             log.push_back("then" + std::to_string(m) + " " +
                           std::to_string(sim.now()));
+            if (records) {
+              mark("then" + std::to_string(m));
+            }
           });
         }
       });
     }
-    *counts = CountFastForwards([&]() { sim.Run(); });
+    *counts = CountFastForwards([&]() {
+      if (horizon >= 0) {
+        sim.RunUntil(horizon);
+      } else {
+        sim.Run();
+      }
+    });
+    if (capture != nullptr) {
+      *journal = capture->Finish();
+    }
     return log;
   }
 
@@ -322,6 +485,57 @@ class FastForwardEngineDiff {
     EXPECT_EQ(fast, slow);
     EXPECT_EQ(fast.size(), colds.size() + CountLines(markers));
     return on;
+  }
+
+  // ExpectSame with every cold run recorded, once into an accumulating graph
+  // (compared by ToJson) and once streamed to a journal file (compared byte
+  // for byte); with a horizon >= 0 the runs stop there and the streaming
+  // graph retires the cut requests with FlushOpenRequests. Returns the
+  // fast-forward mode's counters of the accumulating run.
+  FastForwardCounts ExpectSameJournal(const std::vector<Cold>& colds,
+                                      const std::vector<Marker>& markers = {},
+                                      Nanos horizon = -1) {
+    FastForwardCounts result;
+    for (const Journal journal : {Journal::kGraph, Journal::kStream}) {
+      FastForwardCounts on;
+      FastForwardCounts off;
+      JournalCapture fast_capture(journal, "engine_ff");
+      JournalCapture slow_capture(journal, "engine_ebe");
+      std::string fast_journal;
+      std::string slow_journal;
+      const std::vector<std::string> fast =
+          Run(colds, markers, true, &on, &fast_capture, horizon, &fast_journal);
+      const std::vector<std::string> slow =
+          Run(colds, markers, false, &off, &slow_capture, horizon, &slow_journal);
+      EXPECT_EQ(fast, slow);
+      if (horizon < 0) {
+        EXPECT_EQ(fast.size(), colds.size() + CountLines(markers));
+      }
+      EXPECT_FALSE(fast_journal.empty());
+      EXPECT_TRUE(fast_journal == slow_journal)
+          << (journal == Journal::kStream ? "streamed" : "JSON")
+          << " journals differ";
+      if (journal == Journal::kGraph) {
+        result = on;
+      }
+    }
+    return result;
+  }
+
+  // End times of the causal nodes an isolated recorded run emits (its node
+  // script), relative to its start, in record order.
+  std::vector<Nanos> NodeEnds(const Cold& c) {
+    JournalCapture capture(Journal::kGraph, "node_ends");
+    FastForwardCounts counts;
+    std::string json;
+    Run({c}, {}, /*fast_forward=*/false, &counts, &capture, -1, &json);
+    std::vector<Nanos> ends;
+    for (const CpNode& node : capture.graph()->nodes()) {
+      if (node.kind != CpKind::kArrival && node.kind != CpKind::kEvict) {
+        ends.push_back(node.end - c.at);
+      }
+    }
+    return ends;
   }
 
   // Event times of one isolated run (event by event), in firing order.
@@ -563,6 +777,210 @@ TEST(FastForwardEngineDiffTest, CompletionTiesKeepEventByEventOrder) {
   const FastForwardCounts c = diff.ExpectSame(colds, markers);
   EXPECT_EQ(c.hits, 3u);
   EXPECT_GT(c.materialized, 0u);  // the tie forces a catch-up
+}
+
+// ---------------------------------------------------- recorded engine runs
+
+using Cold = FastForwardEngineDiff::Cold;
+using Marker = FastForwardEngineDiff::Marker;
+
+TEST(FastForwardJournalDiffTest, RandomSchedulesMatchEventByEvent) {
+  FastForwardEngineDiff diff;
+  const std::vector<Strategy> strategies = {
+      Strategy::kBaseline, Strategy::kDeepPlanDha, Strategy::kDeepPlanPt,
+      Strategy::kDeepPlanPtDha};
+  FastForwardCounts total;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed * 31);
+    std::vector<Cold> colds;
+    const int n = Pick(rng, 2, 8);
+    const Nanos span = Millis(Pick(rng, 5, 120));
+    for (int k = 0; k < n; ++k) {
+      Cold c;
+      c.at = static_cast<Nanos>(rng.NextUniform(0.0, static_cast<double>(span)));
+      c.model = static_cast<std::size_t>(Pick(rng, 0, 2));
+      c.strategy = strategies[static_cast<std::size_t>(Pick(rng, 0, 3))];
+      c.primary = Pick(rng, 0, 3);
+      c.migration = Pick(rng, 0, 1) == 0 ? MigrationMode::kPipelined
+                                         : MigrationMode::kBulk;
+      c.group = Pick(rng, 0, 2) == 0 ? Pick(rng, 2, 6) : 1;
+      c.all_dha = Pick(rng, 0, 9) == 0;
+      c.evict_root = Pick(rng, 0, 3) == 0;
+      if (k > 0 && Pick(rng, 0, 7) == 0) {
+        c.at = colds.back().at;
+      }
+      colds.push_back(c);
+    }
+    std::vector<Marker> markers;
+    for (int m = Pick(rng, 0, 6); m > 0; --m) {
+      Marker mk;
+      mk.at = static_cast<Nanos>(rng.NextUniform(0.0, static_cast<double>(span)));
+      mk.then = mk.at + Micros(Pick(rng, 0, 20000));
+      markers.push_back(mk);
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const FastForwardCounts c = diff.ExpectSameJournal(colds, markers);
+    total.hits += c.hits;
+    total.materialized += c.materialized;
+  }
+  EXPECT_GT(total.hits, 20u);
+  EXPECT_GT(total.materialized, 10u);
+}
+
+// Another request records a node at exactly the end of a node the fast-
+// forwarded run has not emitted yet, from an event scheduled before or after
+// the one that records it event by event. The tie replays the run, which
+// hands back the ids of the nodes already emitted; inside the fabric
+// reservation the replay's transfers stay on the real fabric.
+TEST(FastForwardJournalDiffTest, NodeAtAPendingNodesEndCatchesUpReusingIds) {
+  FastForwardEngineDiff diff;
+  Cold base;
+  base.at = Millis(1);
+  const FastForwardEngineDiff::Timeline t = diff.Isolated(base);
+  const std::vector<Nanos> ends = diff.NodeEnds(base);
+  ASSERT_GT(ends.size(), 20u);
+  int in_window = 0;
+  int after_window = 0;
+  std::vector<std::size_t> nodes;
+  for (std::size_t i = 0; i < ends.size(); i += 13) {
+    nodes.push_back(i);
+  }
+  nodes.push_back(ends.size() - 1);  // the last node ends at the completion
+  for (const std::size_t i : nodes) {
+    const Nanos at = base.at + ends[i];
+    for (const Marker& marker : {Marker{at, -1}, Marker{at - 1, at}}) {
+      SCOPED_TRACE("node " + std::to_string(i) + " marker at " +
+                   std::to_string(marker.at));
+      const FastForwardCounts c = diff.ExpectSameJournal({base}, {marker});
+      EXPECT_EQ(c.hits, 1u);
+      EXPECT_EQ(c.materialized, 1u);
+    }
+    ++(ends[i] <= t.fabric_end ? in_window : after_window);
+  }
+  EXPECT_GT(in_window, 2);
+  EXPECT_GT(after_window, 0);
+}
+
+// A transfer joins the run's reservation after a marker's record emitted the
+// first k script nodes: the catch-up reuses those k ids and records the rest.
+TEST(FastForwardJournalDiffTest, TransferJoinsAfterNodesWereEmitted) {
+  FastForwardEngineDiff diff;
+  Cold base;
+  const FastForwardEngineDiff::Timeline t = diff.Isolated(base);
+  const std::vector<Nanos> ends = diff.NodeEnds(base);
+  int joins = 0;
+  for (std::size_t i = 0; i < ends.size() && ends[i] + 2 < t.fabric_end; i += 9) {
+    std::vector<Cold> colds = {base, base};
+    colds[1].at = ends[i] + 2;
+    colds[1].primary = 1;  // shares PCIe switch 0 with GPU 0
+    SCOPED_TRACE("join after node " + std::to_string(i));
+    const FastForwardCounts c =
+        diff.ExpectSameJournal(colds, {Marker{ends[i] + 1, -1}});
+    EXPECT_EQ(c.hits, 1u);
+    EXPECT_EQ(c.materialized, 1u);
+    ++joins;
+  }
+  EXPECT_GT(joins, 3);
+}
+
+TEST(FastForwardJournalDiffTest, CompletionTieWhileRecording) {
+  FastForwardEngineDiff diff;
+  Cold base;
+  base.model = 1;
+  base.all_dha = true;
+  base.at = Millis(1);
+  const FastForwardEngineDiff::Timeline t = diff.Isolated(base);
+  const Nanos done_at = base.at + t.completion;
+  // Silent markers due at the completion instant: a completion tie, with
+  // every node but the last emitted already.
+  const std::vector<Marker> silent = {{0, done_at, true},
+                                      {base.at, done_at, true},
+                                      {base.at + t.completion / 2, done_at, true},
+                                      {done_at - 1, done_at, true},
+                                      {done_at, done_at, true}};
+  FastForwardCounts c = diff.ExpectSameJournal({base}, silent);
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.materialized, 1u);
+  // Identical runs on three GPUs record at the same instants: only the
+  // first fast-forwards, and the others' records catch it up.
+  std::vector<Cold> colds = {base, base, base};
+  colds[1].primary = 1;
+  colds[2].primary = 2;
+  colds[2].same_callback = true;
+  std::vector<Marker> recorded = silent;
+  for (Marker& m : recorded) {
+    m.silent = false;
+  }
+  c = diff.ExpectSameJournal(colds, recorded);
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.materialized, 1u);
+}
+
+// The second run starts after the first's transfers left the fabric, on
+// another GPU, while the first still executes: both fast-forward and their
+// scripts interleave by record time with each other and with the markers'.
+TEST(FastForwardJournalDiffTest, TwoRecordedRunsOverlapOnDifferentGpus) {
+  FastForwardEngineDiff diff;
+  Cold first;
+  const FastForwardEngineDiff::Timeline t = diff.Isolated(first);
+  Cold second;
+  second.at = t.fabric_end + 1;
+  second.primary = 2;
+  second.model = 2;
+  ASSERT_LT(second.at, t.completion);
+  std::vector<Marker> markers;
+  for (Nanos at = second.at + 7; at < t.completion; at += Micros(97)) {
+    markers.push_back({at, -1});
+  }
+  FastForwardCounts c = diff.ExpectSameJournal({first, second}, markers);
+  EXPECT_EQ(c.hits, 2u);
+  EXPECT_EQ(c.materialized, 0u);
+  // All-DHA runs never touch the fabric: three overlap from their starts.
+  std::vector<Cold> dha(3);
+  for (std::size_t k = 0; k < dha.size(); ++k) {
+    dha[k].at = Millis(2) + Micros(333) * static_cast<Nanos>(k);
+    dha[k].primary = static_cast<GpuId>(k);
+    dha[k].model = 1;
+    dha[k].all_dha = true;
+  }
+  c = diff.ExpectSameJournal(dha);
+  EXPECT_EQ(c.hits, 3u);
+  EXPECT_EQ(c.materialized, 0u);
+}
+
+TEST(FastForwardJournalDiffTest, EvictRootedRun) {
+  FastForwardEngineDiff diff;
+  Cold base;
+  base.at = Millis(3);
+  base.evict_root = true;
+  FastForwardCounts c = diff.ExpectSameJournal({base});
+  EXPECT_EQ(c.hits, 1u);
+  EXPECT_EQ(c.materialized, 0u);
+  // And caught up: the replay's first edge leaves the evict node.
+  const std::vector<Nanos> ends = diff.NodeEnds(base);
+  ASSERT_GT(ends.size(), 5u);
+  c = diff.ExpectSameJournal({base}, {Marker{base.at + ends[5], -1}});
+  EXPECT_EQ(c.materialized, 1u);
+}
+
+// RunUntil stops inside a recorded fast-forwarded run; FlushOpenRequests
+// then retires the cut request with exactly the nodes recorded by the
+// horizon (a node ending at the horizon included: RunUntil fires its
+// deadline's events).
+TEST(FastForwardJournalDiffTest, HorizonCutsARecordedRunThenFlush) {
+  FastForwardEngineDiff diff;
+  Cold base;
+  base.at = Millis(1);
+  const FastForwardEngineDiff::Timeline t = diff.Isolated(base);
+  const std::vector<Nanos> ends = diff.NodeEnds(base);
+  ASSERT_GT(ends.size(), 10u);
+  for (const Nanos h : {base.at + 2, base.at + ends[3], base.at + ends[3] + 1,
+                        base.at + t.fabric_end, base.at + ends.back() - 1}) {
+    SCOPED_TRACE("horizon " + std::to_string(h));
+    const FastForwardCounts c = diff.ExpectSameJournal({base}, {}, h);
+    EXPECT_EQ(c.hits, 1u);
+    EXPECT_EQ(c.materialized, 0u);
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "src/obs/whatif/whatif.h"
 #include "src/obs/whatif/whatif_report.h"
 #include "src/serving/server.h"
+#include "src/util/rng.h"
 #include "src/workload/azure_trace.h"
 #include "src/workload/poisson.h"
 
@@ -108,6 +110,34 @@ TEST(JournalEncodingTest, Crc32MatchesTheStandardCheckValue) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0u);
   EXPECT_NE(Crc32("abc"), Crc32("abd"));
+}
+
+// The byte-at-a-time CRC-32 the sliced implementation must equal.
+std::uint32_t BytewiseCrc32(std::string_view data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(JournalEncodingTest, SlicedCrc32MatchesBytewiseOnEveryLengthAndAlignment) {
+  Rng rng(42);
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rng.NextBounded(256));
+  }
+  const std::string_view all(buf);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::string_view view = all.substr(offset, len);
+      ASSERT_EQ(Crc32(view), BytewiseCrc32(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 // ------------------------------------------------ recorded-journal fixtures

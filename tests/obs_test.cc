@@ -21,6 +21,7 @@
 #include "src/obs/causal_graph.h"
 #include "src/obs/journal_stream.h"
 #include "src/obs/metrics_registry.h"
+#include "src/obs/selfprof.h"
 #include "src/obs/trace_recorder.h"
 #include "src/serving/server.h"
 #include "src/util/chrome_trace.h"
@@ -538,6 +539,43 @@ TEST(ServerTraceGoldenTest, OverlappingColdStartsMatchGoldenBytes) {
   ASSERT_EQ(metrics.count(), 5u);
   ExpectMatchesGolden("server_overlapping_cold.trace.json", recorder.ToJson());
   ExpectMatchesGolden("server_overlapping_cold.causal.json", graph.ToJson());
+}
+
+// The same server with only the causal graph attached, so its cold starts
+// fast-forward and emit their node scripts: isolated cold starts while warm
+// requests on other GPUs complete, two overlapping cold starts on one PCIe
+// switch, cold starts queued behind a request on their GPU, and an eviction
+// before every cold start. The golden was recorded event by event.
+TEST(ServerJournalGoldenTest, FastForwardedColdStartsMatchGoldenBytes) {
+  const Topology topology = Topology::P3_8xlarge();
+  const PerfModel perf(topology.gpu(), topology.pcie());
+  ServerOptions options;
+  options.usable_bytes_per_gpu = 40'000'000;
+  Server server(topology, perf, options);
+  const int type = server.RegisterModelType(
+      ModelZoo::TransformerEncoder("encoder_1l", 30522, 768, 1, 3072, 384));
+  server.AddInstances(type, 8);
+  CausalGraph graph(/*enabled=*/true);
+  server.set_causal(&graph, graph.RegisterProcess("serve"));
+  selfprof::SelfProfiler lane;
+  ServingMetrics metrics;
+  {
+    const selfprof::InstallLane install(&lane);
+    metrics = server.Run(Trace({{0, 4},
+                                {Micros(700), 1},
+                                {Millis(2), 2},
+                                {Millis(20), 5},
+                                {Millis(20) + Micros(100), 6},
+                                {Millis(40), 0},
+                                {Millis(40) + Micros(300), 4},
+                                {Millis(60), 3},
+                                {Millis(60), 7},
+                                {Millis(80), 5}}));
+  }
+  ASSERT_EQ(metrics.count(), 10u);
+  EXPECT_GT(lane.counter(selfprof::Counter::kColdFastForward), 2u);
+  EXPECT_GT(lane.counter(selfprof::Counter::kColdMaterialized), 0u);
+  ExpectMatchesGolden("server_journal_ff.causal.json", graph.ToJson());
 }
 
 TEST(FabricTelemetryTest, ContendedLinkEmitsChangingCounterSamples) {

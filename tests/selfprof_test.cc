@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -446,6 +447,48 @@ TEST(SelfProfSweepTest, FastForwardCountersPinnedAcrossJobs) {
           << "jobs=" << jobs;
       EXPECT_EQ(r.selfprof.counter(Counter::kColdMaterialized), 1u)
           << "jobs=" << jobs;
+    }
+  }
+}
+
+// The same point recording a streamed journal fast-forwards its cold starts
+// too, at pinned counts, and writes the journal the event-by-event run does.
+TEST(SelfProfSweepTest, JournaledFastForwardCountersPinnedAcrossJobs) {
+  const auto read = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto point = [](const std::string& journal, bool fast_forward) {
+    bench::ScalingPointOptions options;
+    options.num_requests = 2000;
+    options.selfprof = true;
+    options.journal_out = journal;
+    options.fast_forward_for_testing = fast_forward;
+    return bench::RunScalingPoint(options);
+  };
+  const std::string dir = testing::TempDir();
+  const bench::ScalingPointResult oracle =
+      point(dir + "/selfprof_journal_ebe.dpj", /*fast_forward=*/false);
+  EXPECT_EQ(oracle.selfprof.counter(Counter::kColdFastForward), 0u);
+  const std::string expected = read(dir + "/selfprof_journal_ebe.dpj");
+  ASSERT_FALSE(expected.empty());
+  for (const int jobs : {1, 2, 8}) {
+    const auto path = [&](int i) {
+      return dir + "/selfprof_journal_j" + std::to_string(jobs) + "_" +
+             std::to_string(i) + ".dpj";
+    };
+    const SweepRunner runner(jobs);
+    const std::vector<bench::ScalingPointResult> results = runner.Map(
+        2, [&](int i) { return point(path(i), /*fast_forward=*/true); });
+    for (int i = 0; i < 2; ++i) {
+      const bench::ScalingPointResult& r = results[static_cast<std::size_t>(i)];
+      EXPECT_EQ(r.selfprof.counter(Counter::kColdFastForward), 52u)
+          << "jobs=" << jobs;
+      EXPECT_EQ(r.selfprof.counter(Counter::kColdMaterialized), 1u)
+          << "jobs=" << jobs;
+      EXPECT_TRUE(read(path(i)) == expected)
+          << "jobs=" << jobs << ": journal differs from the event-by-event run";
     }
   }
 }
