@@ -266,8 +266,9 @@ class BenchOutputs {
   // --whatif_out replays it.
   bool journaling() const { return enabled(kProfile) || enabled(kWhatIf); }
 
-  bool WriteTrace(const TraceRecorder& trace) const {
-    return Logged(trace.WriteTo(path(kTrace)), "trace", path(kTrace));
+  bool WriteTrace(const TraceDocument& trace) const {
+    return Logged(ChromeTraceWriter::WriteTo(path(kTrace), trace), "trace",
+                  path(kTrace));
   }
 
   bool WriteJournal(const CausalGraph& graph) const {

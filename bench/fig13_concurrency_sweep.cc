@@ -11,15 +11,16 @@
 // fans out over DEEPPLAN_JOBS threads; tables aggregate in point order and
 // are byte-identical for any thread count. With --trace_out=<path> (default:
 // $DEEPPLAN_TRACE), the three loose-SLO points at concurrency 140 — the knee
-// of the figure — record telemetry; their recorders stitch into one Chrome
-// trace and their metrics snapshots land in the matching BENCH points. With
-// --profile_out=<path> (default: $DEEPPLAN_PROFILE) the same knee points
-// record causal journals; the stitched journal is written to <path> as a
-// binary DPJL journal and the critical-path attribution report prints after
-// the tables. With --selfprof_out=<path> (default: $DEEPPLAN_SELFPROF) every
-// point carries a host self-profiling lane (src/obs/selfprof.h) and the
-// per-point wall-clock attribution report lands at <path> (inspect with
-// tools/selfprof_report).
+// of the figure — record causal graphs and metrics; the graphs stitch into
+// one, the Chrome trace is derived from it and the points' request records
+// (src/serving/serving_trace.h), and their metrics snapshots land in the
+// matching BENCH points. With --profile_out=<path> (default:
+// $DEEPPLAN_PROFILE) the same knee points record causal journals; the
+// stitched journal is written to <path> as a binary DPJL journal and the
+// critical-path attribution report prints after the tables. With
+// --selfprof_out=<path> (default: $DEEPPLAN_SELFPROF) every point carries a
+// host self-profiling lane (src/obs/selfprof.h) and the per-point wall-clock
+// attribution report lands at <path> (inspect with tools/selfprof_report).
 #include <iostream>
 #include <utility>
 
@@ -35,7 +36,7 @@ struct Point {
   double goodput_tight = 0.0;  // against a 50 ms SLO
   double cold_rate = 0.0;
   int capacity = 0;
-  TraceRecorder recorder{false};
+  ServingMetrics metrics;  // traced points only
   MetricsRegistry registry;
   CausalGraph causal{false};
   // Host wall-clock attribution for this point; merged into the
@@ -44,7 +45,7 @@ struct Point {
 };
 
 Point RunPoint(Strategy strategy, int concurrency, int requests, double rate,
-               std::uint64_t seed, bool tracing, bool profiling,
+               std::uint64_t seed, bool tracing, bool recording,
                bool profiling_host) {
   Point p;
   {
@@ -61,13 +62,9 @@ Point RunPoint(Strategy strategy, int concurrency, int requests, double rate,
     server.AddInstances(type, concurrency);
 
     if (tracing) {
-      p.recorder = TraceRecorder(/*enabled=*/true);
-      server.set_telemetry(&p.recorder, &p.registry,
-                           p.recorder.RegisterProcess(
-                               std::string(StrategyName(strategy)) + " c" +
-                               std::to_string(concurrency)));
+      server.set_telemetry(&p.registry);
     }
-    if (profiling) {
+    if (recording) {
       p.causal = CausalGraph(/*enabled=*/true);
       server.set_causal(&p.causal, p.causal.RegisterProcess(
                                        std::string(StrategyName(strategy)) +
@@ -85,6 +82,9 @@ Point RunPoint(Strategy strategy, int concurrency, int requests, double rate,
     p.goodput_tight = m.Goodput(Millis(50));
     p.cold_rate = m.ColdStartRate();
     p.capacity = server.WarmCapacity();
+    if (tracing) {
+      p.metrics = m;
+    }
   }
   return p;
 }
@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
       runner.Map(static_cast<int>(specs.size()), [&](int i) {
         const PointSpec& s = specs[static_cast<std::size_t>(i)];
         return RunPoint(s.strategy, s.concurrency, requests, rate, 42,
-                        tracing && s.Traced(), profiling && s.Traced(),
-                        profiling_host);
+                        tracing && s.Traced(),
+                        (tracing || profiling) && s.Traced(), profiling_host);
       });
 
   std::cout << "Figure 13: BERT-Base serving, " << rate
@@ -193,15 +193,18 @@ int main(int argc, char** argv) {
   tight.Print(std::cout);
   std::cout << "\nPaper reference: PipeSwitch p99 ~94 ms at 120; PT+DHA "
                "within ~35 ms even at 140.\n";
-  if (profiling) {
-    // Stitch the recorded points' graphs in spec order (deterministic for
-    // any DEEPPLAN_JOBS) and print the critical-path attribution report.
-    CausalGraph merged(/*enabled=*/true);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].Traced()) {
-        merged.Adopt(std::move(points[i].causal));
-      }
+  // Stitch the recorded points' graphs in spec order (deterministic for any
+  // DEEPPLAN_JOBS); graph process k is the k-th traced point's server.
+  CausalGraph merged(/*enabled=*/true);
+  std::vector<const ServingMetrics*> servers;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].Traced()) {
+      merged.Adopt(std::move(points[i].causal));
+      servers.push_back(&points[i].metrics);
     }
+  }
+  if (profiling) {
+    // The critical-path attribution report.
     std::cout << "\n";
     PrintProfileReport(BuildProfileReport(merged), std::cout);
     if (!outputs.WriteJournal(merged)) {
@@ -209,16 +212,8 @@ int main(int argc, char** argv) {
     }
   }
   report.Write(&std::cerr);
-  if (tracing) {
-    TraceRecorder merged(/*enabled=*/true);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].Traced()) {
-        merged.Adopt(std::move(points[i].recorder));
-      }
-    }
-    if (!outputs.WriteTrace(merged)) {
-      return 1;
-    }
+  if (tracing && !outputs.WriteTrace(ServingTrace(merged, servers))) {
+    return 1;
   }
   if (profiling_host) {
     // Lanes in spec order (the sweep aggregates in task-index order).

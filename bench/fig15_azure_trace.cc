@@ -11,12 +11,14 @@
 // The three strategies replay the same (immutable) trace on independent
 // servers, so they fan out over DEEPPLAN_JOBS threads; output renders in
 // strategy order and is byte-identical for any thread count. With
-// --trace_out=<path> (default: $DEEPPLAN_TRACE), each replay records into its
-// own TraceRecorder/MetricsRegistry; the recorders are stitched in strategy
-// order into one Perfetto-loadable Chrome trace, and each strategy's metrics
-// snapshot lands in its BENCH point. With --profile_out=<path> (default:
-// $DEEPPLAN_PROFILE) each replay additionally records a causal journal; the
-// stitched journal is written to <path> in the chunked binary DPJL format
+// --trace_out=<path> (default: $DEEPPLAN_TRACE), each replay records its own
+// causal graph and MetricsRegistry; the graphs are stitched in strategy
+// order, one Perfetto-loadable Chrome trace is derived from them and the
+// replays' request records (src/serving/serving_trace.h), and each
+// strategy's metrics snapshot lands in its BENCH point. With
+// --profile_out=<path> (default: $DEEPPLAN_PROFILE) each replay records a
+// causal journal; the stitched journal is written to <path> in the chunked
+// binary DPJL format
 // (src/obs/journal_stream.h; export it as JSON with tools/journal_convert)
 // and the critical-path attribution report prints after the tables. With
 // --whatif_out=<path> (default: $DEEPPLAN_WHATIF) the stitched journal is
@@ -38,7 +40,6 @@ using namespace deepplan;
 struct Outcome {
   ServingMetrics metrics;
   MinuteSeries series;
-  TraceRecorder recorder{false};
   MetricsRegistry registry;
   CausalGraph causal{false};
   // Host wall-clock attribution for this strategy's replay; merged into the
@@ -47,7 +48,7 @@ struct Outcome {
 };
 
 Outcome Replay(Strategy strategy, const Trace& trace, int instances, bool tracing,
-               bool journaling, bool profiling_host) {
+               bool recording, bool profiling_host) {
   Outcome out;
   {
     // Scope: the lane's root "total" closes when this block exits, before
@@ -68,11 +69,9 @@ Outcome Replay(Strategy strategy, const Trace& trace, int instances, bool tracin
     server.AddInstances(roberta, 4 * unit);
     server.AddInstances(gpt2, instances - 8 * unit);
     if (tracing) {
-      out.recorder = TraceRecorder(/*enabled=*/true);
-      server.set_telemetry(&out.recorder, &out.registry,
-                           out.recorder.RegisterProcess(StrategyName(strategy)));
+      server.set_telemetry(&out.registry);
     }
-    if (journaling) {
+    if (recording) {
       out.causal = CausalGraph(/*enabled=*/true);
       server.set_causal(&out.causal,
                         out.causal.RegisterProcess(StrategyName(strategy)));
@@ -158,7 +157,7 @@ int main(int argc, char** argv) {
   std::vector<Outcome> outcomes =
       runner.Map(static_cast<int>(strategies.size()), [&](int i) {
         return Replay(strategies[static_cast<std::size_t>(i)], trace, instances,
-                      tracing, journaling, profiling_host);
+                      tracing, journaling || tracing, profiling_host);
       });
 
   for (std::size_t s = 0; s < strategies.size(); ++s) {
@@ -215,34 +214,28 @@ int main(int argc, char** argv) {
   }
   std::cout << "Paper reference: DeepPlan variants hold 98-99% goodput; "
                "PipeSwitch drops to ~81% in loaded minutes.\n";
-  if (journaling) {
-    // Stitch the per-strategy graphs in strategy order (deterministic for
-    // any DEEPPLAN_JOBS).
-    CausalGraph merged(/*enabled=*/true);
-    for (Outcome& out : outcomes) {
-      merged.Adopt(std::move(out.causal));
-    }
-    if (outputs.enabled(bench::BenchOutputs::kProfile)) {
-      std::cout << "\n";
-      PrintProfileReport(BuildProfileReport(merged), std::cout);
-      if (!outputs.WriteJournal(merged)) {
-        return 1;
-      }
-    }
-    if (outputs.enabled(bench::BenchOutputs::kWhatIf) &&
-        !outputs.ReplayWhatIf(merged)) {
+  // Stitch the per-strategy graphs in strategy order (deterministic for any
+  // DEEPPLAN_JOBS); graph process s is strategy s's server.
+  CausalGraph merged(/*enabled=*/true);
+  std::vector<const ServingMetrics*> servers;
+  for (Outcome& out : outcomes) {
+    merged.Adopt(std::move(out.causal));
+    servers.push_back(&out.metrics);
+  }
+  if (outputs.enabled(bench::BenchOutputs::kProfile)) {
+    std::cout << "\n";
+    PrintProfileReport(BuildProfileReport(merged), std::cout);
+    if (!outputs.WriteJournal(merged)) {
       return 1;
     }
   }
+  if (outputs.enabled(bench::BenchOutputs::kWhatIf) &&
+      !outputs.ReplayWhatIf(merged)) {
+    return 1;
+  }
   report.Write(&std::cerr);
-  if (tracing) {
-    TraceRecorder merged(/*enabled=*/true);
-    for (Outcome& out : outcomes) {
-      merged.Adopt(std::move(out.recorder));
-    }
-    if (!outputs.WriteTrace(merged)) {
-      return 1;
-    }
+  if (tracing && !outputs.WriteTrace(ServingTrace(merged, servers))) {
+    return 1;
   }
   if (profiling_host) {
     // Lanes in strategy order (the sweep aggregates in task-index order).

@@ -1,8 +1,9 @@
-// Timeline export: run one cold start with a trace recorder attached to the
-// engine and write its Chrome-trace JSON (open in chrome://tracing or
-// ui.perfetto.dev). The resulting picture is the paper's Figure 9 — PCIe
-// loads, NVLink migration, and execution overlapping across tracks —
-// generated from an actual simulated run.
+// Timeline export: run one cold start with a causal graph attached to the
+// engine, derive its Chrome trace from the graph (CausalTrace) and write it
+// (open in chrome://tracing or ui.perfetto.dev). The resulting picture is
+// the paper's Figure 9 — PCIe loads, NVLink migration, and execution
+// overlapping across tracks, with per-link bandwidth counters — generated
+// from an actual simulated run.
 //
 //   ./build/examples/timeline_export --model=bert_base --strategy=pt_dha
 //       --out=timeline.json
@@ -37,21 +38,28 @@ int main(int argc, char** argv) {
   Simulator sim;
   ServerFabric fabric(&sim, &topology);
   Engine engine(&sim, &fabric, &perf);
-  TraceRecorder recorder;
-  engine.set_telemetry(&recorder, recorder.RegisterProcess(StrategyName(strategy)));
+  CausalGraph graph;
+  engine.set_causal(&graph);
+  ColdRunOptions options = MakeColdRunOptions(strategy);
+  options.causal_request =
+      graph.BeginRequest(graph.RegisterProcess(StrategyName(strategy)), 0, 0);
   InferenceResult result;
   engine.RunCold(model, plan, 0,
                  TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
-                 MakeColdRunOptions(strategy),
-                 [&](const InferenceResult& r) { result = r; });
+                 options, [&](const InferenceResult& r) {
+                   result = r;
+                   graph.EndRequest(options.causal_request, sim.now(),
+                                    r.causal_terminal);
+                 });
   sim.Run();
 
-  if (!recorder.WriteTo(flags.GetString("out"))) {
+  const TraceDocument trace = CausalTrace(graph);
+  if (!ChromeTraceWriter::WriteTo(flags.GetString("out"), trace)) {
     std::cerr << "failed to write " << flags.GetString("out") << "\n";
     return 1;
   }
   std::cout << StrategyName(strategy) << " cold start of " << model.name() << ": "
-            << FormatDuration(result.latency) << " (" << recorder.size()
+            << FormatDuration(result.latency) << " (" << trace.events.size()
             << " trace events)\n"
             << "wrote " << flags.GetString("out")
             << " — open in chrome://tracing or ui.perfetto.dev\n";

@@ -31,7 +31,6 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/profile_report.h"
 #include "src/obs/selfprof.h"
-#include "src/obs/trace_recorder.h"
 #include "src/obs/utilization.h"
 #include "src/obs/whatif/whatif.h"
 #include "src/obs/whatif/whatif_report.h"
@@ -40,6 +39,7 @@
 #include "src/serving/instance.h"
 #include "src/serving/metrics.h"
 #include "src/serving/server.h"
+#include "src/serving/serving_trace.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stream.h"

@@ -72,8 +72,8 @@ namespace engine_internal {
 struct LoadItem {
   std::vector<std::size_t> layer_indices;
   std::int64_t bytes = 0;
-  // Label for the trace recorder and causal graph; left empty (not built)
-  // when neither records this run, which is the serving hot path.
+  // Label for the causal graph; left empty (not built) when it does not
+  // record this run, which is the serving hot path.
   std::string name;
 };
 
@@ -256,23 +256,18 @@ void Engine::set_causal(CausalGraph* graph) {
   }
 }
 
-void Engine::set_telemetry(TraceRecorder* recorder, int pid) {
-  recorder_ = recorder;
-  pid_ = pid;
-}
-
 CpNodeId Engine::RecordOp(ColdRun* run, CpKind kind, std::string_view verb,
                           std::string_view name, GpuId from, GpuId to,
                           Nanos start, std::int64_t bytes, Nanos dha_pcie) {
   const int causal_request = run->causal_request;
-  if (recorder_ == nullptr && causal_request < 0) {
+  if (causal_request < 0) {
     return -1;
   }
   const Nanos end = sim_->now();
   run->reused_last = run->records < run->reuse.size();
   if (run->reused_last) {
     // Emitted already from the script of the fast-forwarded run this one
-    // replays; such a run records no trace.
+    // replays.
     return run->reuse[run->records++];
   }
   std::string label;
@@ -282,20 +277,6 @@ CpNodeId Engine::RecordOp(ColdRun* run, CpKind kind, std::string_view verb,
       kind == CpKind::kPcie     ? "pcie/gpu" + std::to_string(to)
       : kind == CpKind::kNvlink ? "nvlink/" + std::to_string(from) + "->" + std::to_string(to)
                                 : "exec/gpu" + std::to_string(to);
-  if (recorder_ != nullptr) {
-    if (kind == CpKind::kExec) {
-      recorder_->Span(pid_, track, label, start, end - start);
-    } else {
-      // Async interval, not a complete slice: another run's transfers may be
-      // draining through the same link at the same time.
-      const std::uint64_t aid = next_async_id_++;
-      recorder_->AsyncBegin(pid_, track, label, aid, start);
-      recorder_->AsyncEnd(pid_, track, label, aid, end);
-    }
-  }
-  if (causal_request < 0) {
-    return -1;
-  }
   ++run->records;
   if (kind == CpKind::kExec) {
     const CpNodeId node = causal_->AddNode(causal_request, kind, std::move(label),
@@ -338,11 +319,9 @@ void Engine::RunCold(const Model& model, const ExecutionPlan& plan, GpuId primar
   }
   scratch_->retired.clear();
 
-  // Traced runs go event by event, so traces keep their event order.
-  const bool traced = recorder_ != nullptr || fabric_->fabric().has_recorder();
   const bool journaled = causal_ != nullptr && causal_->enabled() &&
                          options.causal_request >= 0;
-  if (fast_forward_ && !traced) {
+  if (fast_forward_) {
     const ColdTemplate& tmpl =
         TemplateFor(model, plan, primary, secondaries, options, journaled);
     // A run without transfers never touches the fabric. The completion must
@@ -403,7 +382,7 @@ void Engine::RunIsolated(ColdTemplate& tmpl, bool scripted) {
   Simulator sim;
   ServerFabric fabric(&sim, &fabric_->topology());
   MetricsRegistry registry;
-  fabric.fabric().set_telemetry(nullptr, &registry);
+  fabric.fabric().set_telemetry(&registry);
   Engine engine(&sim, &fabric, perf_);
   engine.fast_forward_ = false;
   // A scripted run records into a private graph from time 0 as request 0,
@@ -733,10 +712,10 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
     run->all_loaded_source = run->causal_root;
   }
 
-  // Operation labels are consumed only by the trace recorder and the causal
-  // graph; skip the string building entirely when neither records this run
-  // (the serving hot path).
-  const bool want_names = recorder_ != nullptr || run->causal_request >= 0;
+  // Operation labels are consumed only by the causal graph; skip the string
+  // building entirely when it does not record this run (the serving hot
+  // path).
+  const bool want_names = run->causal_request >= 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     const Layer& layer = model.layer(i);

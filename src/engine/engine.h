@@ -20,7 +20,6 @@
 #include "src/core/plan.h"
 #include "src/hw/topology.h"
 #include "src/obs/causal_graph.h"
-#include "src/obs/trace_recorder.h"
 #include "src/model/model.h"
 #include "src/perf/perf_model.h"
 #include "src/sim/fabric.h"
@@ -118,18 +117,11 @@ class Engine {
   Engine(Simulator* sim, ServerFabric* fabric, const PerfModel* perf);
   ~Engine();
 
-  // Attaches a trace recorder: every cold-run load, migrate (pipelined or
-  // bulk) and exec operation is then recorded in *absolute* simulation time
-  // on tracks "pcie/gpu<g>", "nvlink/<a>-><b>" and "exec/gpu<g>" — transfers
-  // as async intervals, layer executions as spans — so one recorder covers
-  // all GPUs and requests of a whole server run. nullptr detaches; the
-  // disabled cost is one pointer test per operation.
-  void set_telemetry(TraceRecorder* recorder, int pid = 0);
-
   // Attaches a causal graph: cold runs whose options carry a causal_request
   // then record every PCIe transfer, NVLink migration, and layer execution as
   // a happens-before DAG node (with solo durations on transfers for
-  // contention attribution). nullptr detaches; disabled cost is one pointer
+  // contention attribution), in absolute time on resources "pcie/gpu<g>",
+  // "nvlink/<a>-><b>" and "exec/gpu<g>"; traces are derived from it. nullptr detaches; disabled cost is one pointer
   // test per operation. Installs the graph's pre-record hook, through which
   // fast-forwarded runs emit their nodes in the order an event-by-event run
   // records them; one engine per graph at a time (DP_CHECKed).
@@ -140,8 +132,7 @@ class Engine {
   // `done` fires at completion. Multiple concurrent runs interact through the
   // shared fabric.
   //
-  // A run that records no trace and starts on an idle fabric is fast-
-  // forwarded (DESIGN.md §16): one completion event replays a memoized
+  // A run that starts on an idle fabric is fast-forwarded (DESIGN.md §16): one completion event replays a memoized
   // template of the same run, and a run recording causal nodes emits the
   // template's node script with the ids the event-by-event run assigns. If
   // another transfer joins while the template's transfers would still be on
@@ -239,13 +230,11 @@ class Engine {
   void StopRecording(const FastForwardRun* ff);
 
   // Records one finished cold-run operation, [start, now] in absolute time,
-  // to every attached sink: the trace recorder (async interval for kPcie and
-  // kNvlink, span for kExec) and, when the run has a causal request, the
-  // causal graph. Label ("<verb><name>") and track ("pcie/gpu<to>",
-  // "nvlink/<from>-><to>", "exec/gpu<to>") are built once, and only when a
-  // sink records; transfer solo durations and routes are computed only for
-  // the causal graph. Returns the causal node (-1 when none is recorded) so
-  // the caller can wire its happens-before edges with RecordEdge.
+  // as a causal node when the run has a causal request. Label
+  // ("<verb><name>") and resource ("pcie/gpu<to>", "nvlink/<from>-><to>",
+  // "exec/gpu<to>") are built only then, and transfers also get their solo
+  // duration and route. Returns the node (-1 when none is recorded) so the
+  // caller can wire its happens-before edges with RecordEdge.
   CpNodeId RecordOp(ColdRun* run, CpKind kind, std::string_view verb,
                     std::string_view name, GpuId from, GpuId to, Nanos start,
                     std::int64_t bytes = 0, Nanos dha_pcie = 0);
@@ -257,18 +246,12 @@ class Engine {
   Simulator* sim_;
   ServerFabric* fabric_;
   const PerfModel* perf_;
-  TraceRecorder* recorder_ = nullptr;
   CausalGraph* causal_ = nullptr;
   std::shared_ptr<CausalRecordHook> record_hook_;  // installed on causal_
   // Recorded fast-forwarded runs with script nodes still to emit, and
   // whether EmitScripts is emitting (its own graph calls skip the hook).
   std::vector<FastForwardRun*> recording_;
   bool emitting_ = false;
-  int pid_ = 0;
-  // Pairs async begin/end events for load/migrate intervals: concurrent cold
-  // runs share PCIe/NVLink tracks, so their transfer slices may overlap and
-  // cannot be exported as complete (nesting) slices.
-  std::uint64_t next_async_id_ = 0;
   bool fast_forward_ = true;
   // Event-by-event cold runs with fabric transfers still to finish.
   int fabric_runs_ = 0;

@@ -1,10 +1,12 @@
 // Causal journal of a simulated run: an explicit happens-before DAG per
 // request, recorded at the same chokepoints the runtime validator already
 // hooks — queue pop (dispatch), stream op chaining, sync-event fire, and
-// fabric transfer completion. Where the TraceRecorder captures *what happened
-// when* for a human in Perfetto, the CausalGraph captures *what waited on
-// what*, which is the input the critical-path engine (src/obs/critical_path)
-// needs to attribute every nanosecond of a request's latency to a cause.
+// fabric transfer completion. It captures *what waited on what*, which is
+// the input the critical-path engine (src/obs/critical_path) needs to
+// attribute every nanosecond of a request's latency to a cause, and *what
+// happened when*: it is the run's one record of its operations, from which
+// the Chrome trace for Perfetto is derived after the run (CausalTrace,
+// src/obs/whatif/whatif.h).
 //
 // Node timestamps are absolute simulation time. Transfer nodes additionally
 // carry `solo_ns`, the duration the same transfer would have taken alone on
@@ -12,9 +14,9 @@
 // fabric applies); the critical-path engine turns the excess over solo into
 // the PCIe-contention component.
 //
-// Cost model mirrors TraceRecorder: components hold a `CausalGraph*` that is
-// nullptr when profiling is off, and a graph constructed disabled drops every
-// call without touching its buffers, so the disabled hot path stays a pointer
+// Cost model: components hold a `CausalGraph*` that is nullptr when
+// profiling is off, and a graph constructed disabled drops every call
+// without touching its buffers, so the disabled hot path stays a pointer
 // test and simulation behaviour is bit-for-bit unchanged either way.
 //
 // Determinism: the simulator is single-threaded, so nodes append in

@@ -3,7 +3,7 @@
 // dispatch, fair-share solves, exec-stream modelling, validator hooks,
 // journal/trace serialization, ...) accumulate into a thread-confined
 // SelfProfiler "lane", stitched across SweepRunner workers in task order the
-// same way TraceRecorder::Adopt() stitches traces. The report answers
+// same way CausalGraph::Adopt() stitches causal graphs. The report answers
 // ROADMAP item 1's open question ("where do the remaining seconds of the 1M
 // request run go?") and is the partitioning data PDES (item 2) needs.
 //
@@ -36,11 +36,12 @@
 // this. Estimated full-phase time (estimated_ns = inclusive_ns * count /
 // sampled) is derived at render time and clearly marked as an estimate.
 //
-// Concurrency contract: like TraceRecorder, a SelfProfiler is deliberately
-// NOT internally synchronized — it is thread-confined via a thread_local
-// lane pointer (InstallLane). Each parallel sweep task profiles into its own
-// lane carried in its result slot; the aggregator merges them in task-index
-// order (ThreadPool::Wait is the happens-before edge). See DESIGN.md §15.
+// Concurrency contract: like a CausalGraph's accumulation surface, a
+// SelfProfiler is deliberately NOT internally synchronized — it is
+// thread-confined via a thread_local lane pointer (InstallLane). Each
+// parallel sweep task profiles into its own lane carried in its result slot;
+// the aggregator merges them in task-index order (ThreadPool::Wait is the
+// happens-before edge). See DESIGN.md §15.
 #ifndef SRC_OBS_SELFPROF_H_
 #define SRC_OBS_SELFPROF_H_
 

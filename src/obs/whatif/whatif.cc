@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -163,8 +164,12 @@ class InMemorySource : public ReplaySource {
 // contention re-emerges from the replayed overlap instead of being copied.
 class Replayer {
  public:
-  Replayer(ReplaySource& src, const WhatIfExperiment& exp)
-      : src_(src), exp_(exp) {}
+  // With `counters`, each process's fabric emits its counter samples there
+  // (pid = process), one per (process, track, instant): the value after
+  // that instant.
+  Replayer(ReplaySource& src, const WhatIfExperiment& exp,
+           TraceDocument* counters = nullptr)
+      : src_(src), exp_(exp), counters_(counters) {}
 
   WhatIfReplay Run() {
     const std::size_t num_requests = src_.num_requests();
@@ -227,8 +232,30 @@ class Replayer {
     auto& fabric = fabrics_[Idx(process)];
     if (!fabric) {
       fabric = std::make_unique<Fabric>(&sim_);
+      if (counters_ != nullptr) {
+        fabric->set_counter_sink(
+            [this, process](const std::string& track, std::string_view series,
+                            Nanos ts, double value) {
+              AddCounterSample(process, track, series, ts, value);
+            });
+      }
     }
     return *fabric;
+  }
+
+  // A track's samples come in time order, so a sample at the instant of the
+  // track's latest one replaces it: what stays is the value after the
+  // instant, however its changes within the instant were ordered.
+  void AddCounterSample(int process, const std::string& track,
+                        std::string_view series, Nanos ts, double value) {
+    std::size_t& last = last_sample_[{process, track}];
+    if (last > 0 && counters_->events[last - 1].ts == ts) {
+      counters_->events[last - 1].value = value;
+      return;
+    }
+    counters_->events.push_back(TraceEvent{TracePhase::kCounter, process, track,
+                                           std::string(series), ts, 0, value});
+    last = counters_->events.size();
   }
 
   double ScaleFor(const std::string& link) const {
@@ -393,6 +420,9 @@ class Replayer {
 
   ReplaySource& src_;
   const WhatIfExperiment& exp_;
+  TraceDocument* counters_;
+  // Per (process, counter track): 1 + index of its latest sample, 0 = none.
+  std::map<std::pair<int, std::string>, std::size_t> last_sample_;
   Simulator sim_;
   WhatIfReplay out_;
   std::vector<int> next_in_domain_;
@@ -484,6 +514,46 @@ WhatIfReplay ReplayWhatIf(const CausalGraph& graph,
                           const WhatIfExperiment& exp) {
   InMemorySource src(graph);
   return Replayer(src, exp).Run();
+}
+
+TraceDocument CausalTrace(const CausalGraph& graph) {
+  TraceDocument doc;
+  doc.process_names = graph.processes();
+  // Transfers go out as async intervals, not complete slices: concurrent
+  // cold runs' transfers may drain through one link at the same time.
+  std::map<int, std::uint64_t> next_async_id;  // per process
+  for (const CpNode& n : graph.nodes()) {
+    if (n.request < 0) {
+      continue;
+    }
+    const int pid = graph.requests()[Idx(n.request)].process;
+    switch (n.kind) {
+      case CpKind::kExec:
+        doc.events.push_back(TraceEvent{TracePhase::kSpan, pid, n.resource,
+                                        n.label, n.start, n.end - n.start});
+        break;
+      case CpKind::kPcie:
+      case CpKind::kNvlink: {
+        const std::uint64_t id = next_async_id[pid]++;
+        doc.events.push_back(TraceEvent{TracePhase::kAsyncBegin, pid,
+                                        n.resource, n.label, n.start, 0, 0.0,
+                                        id});
+        doc.events.push_back(TraceEvent{TracePhase::kAsyncEnd, pid, n.resource,
+                                        n.label, n.end, 0, 0.0, id});
+        break;
+      }
+      case CpKind::kArrival:
+      case CpKind::kEvict:
+        break;
+    }
+  }
+  // The identity replay rebuilds each process's fabric from the recorded
+  // hops and re-times every transfer bit-exactly; its fabrics emit the
+  // bandwidth and byte counters.
+  InMemorySource src(graph);
+  const WhatIfExperiment identity;
+  Replayer(src, identity, &doc).Run();
+  return doc;
 }
 
 // ReplaySource over a binary journal with chunk-windowed residency. Open()

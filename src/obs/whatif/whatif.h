@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "src/obs/causal_graph.h"
+#include "src/util/chrome_trace.h"
 #include "src/util/time.h"
 
 namespace deepplan {
@@ -95,6 +96,13 @@ struct WhatIfReplay {
 };
 
 WhatIfReplay ReplayWhatIf(const CausalGraph& graph, const WhatIfExperiment& exp);
+
+// The Chrome-trace view of a recorded run (DESIGN.md §8): per graph
+// process, every exec node as a span and every transfer node as an async
+// interval (ids numbered in node-id order) on its resource's track, plus the
+// "bw/<link>" and "cum/fabric.bytes" counters of the identity replay's
+// fabrics, one sample per (track, instant): the value after that instant.
+TraceDocument CausalTrace(const CausalGraph& graph);
 
 // Bounded-memory replay over a binary journal file. Open() makes one
 // validating sequential pass to index request metadata and chunk offsets;

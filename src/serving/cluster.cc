@@ -25,9 +25,7 @@ struct Cluster::Impl {
   int num_gpus_per_server = 0;
   int rr_cursor = 0;
 
-  TraceRecorder* recorder = nullptr;
   MetricsRegistry* registry = nullptr;
-  int router_pid = 0;
 
   int Route(int instance) {
     switch (options.routing) {
@@ -107,16 +105,19 @@ const Server& Cluster::server(int index) const {
   return *impl_->servers[Idx(index)];
 }
 
-void Cluster::EnableTelemetry(TraceRecorder* recorder, MetricsRegistry* registry) {
+void Cluster::EnableTelemetry(MetricsRegistry* registry) {
+  impl_->registry = registry;
+  for (auto& server : impl_->servers) {
+    server->set_telemetry(registry);
+  }
+}
+
+void Cluster::set_causal(const std::vector<CausalGraph*>& graphs) {
   Impl& c = *impl_;
-  c.recorder = recorder;
-  c.registry = registry;
-  c.router_pid = recorder != nullptr ? recorder->RegisterProcess("router") : 0;
+  DP_CHECK(graphs.size() == c.servers.size());
   for (std::size_t i = 0; i < c.servers.size(); ++i) {
-    const int pid = recorder != nullptr
-                        ? recorder->RegisterProcess("server" + std::to_string(i))
-                        : 0;
-    c.servers[i]->set_telemetry(recorder, registry, pid);
+    c.servers[i]->set_causal(
+        graphs[i], graphs[i]->RegisterProcess("server" + std::to_string(i)));
   }
 }
 
@@ -142,14 +143,6 @@ ServingMetrics Cluster::Run(const Trace& trace) {
     c.sim.ScheduleAt(a.time, [this, a]() {
       Impl& impl = *impl_;
       const int target = impl.Route(a.instance);
-      if (impl.recorder != nullptr) {
-        std::string decision = "i";
-        decision += std::to_string(a.instance);
-        decision += "->s";
-        decision += std::to_string(target);
-        impl.recorder->Instant(impl.router_pid, "router", decision,
-                               impl.sim.now());
-      }
       if (impl.registry != nullptr) {
         impl.registry->AddCounter("cluster.routed.server" + std::to_string(target));
       }

@@ -54,11 +54,16 @@ class Cluster {
 
   const Server& server(int index) const;
 
-  // Attaches telemetry (either pointer may be nullptr) before Run(): each
-  // back-end becomes its own recorder process ("server<i>") with the full
-  // server instrumentation, and every routing decision lands as an instant
-  // event on the "router" process plus a cluster.routed.server<i> counter.
-  void EnableTelemetry(TraceRecorder* recorder, MetricsRegistry* registry);
+  // Attaches a metrics registry (nullptr detaches) before Run(): every
+  // back-end gets the full server instrumentation, and every routing
+  // decision bumps a cluster.routed.server<i> counter.
+  void EnableTelemetry(MetricsRegistry* registry);
+
+  // Attaches one causal graph per back-end before Run(): graphs[i] records
+  // server(i) as its process "server<i>" (a graph takes one engine, so the
+  // back-ends cannot share one). ClusterTrace (src/serving/serving_trace.h)
+  // derives the cluster's trace from them after the run.
+  void set_causal(const std::vector<CausalGraph*>& graphs);
 
  private:
   struct Impl;

@@ -26,6 +26,7 @@ struct RequestRecord {
   Nanos evict = 0;
   Nanos load = 0;
   int evictions = 0;     // instances evicted to make room
+  int gpu = -1;          // the instance's home GPU, where the request ran
 
   Nanos Latency() const { return completion - arrival; }
   Nanos QueueTime() const { return start - arrival; }

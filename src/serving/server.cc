@@ -51,15 +51,9 @@ struct Server::Impl {
 
   ServingMetrics metrics;
 
-  TraceRecorder* recorder = nullptr;
   MetricsRegistry* registry = nullptr;
-  int pid = 0;
-  // Pairs async queue-wait begin/end events; waits overlap whenever several
-  // requests queue behind one GPU, so they cannot be complete slices.
-  std::uint64_t next_queue_span_id = 0;
   CausalGraph* causal = nullptr;
   int causal_process = 0;
-  std::int64_t cumulative_requests = 0;  // cum/requests counter track
   // Requests retired so far, surfaced to the simulator's DEEPPLAN_PROGRESS
   // heartbeat (registered below, removed in ~Impl).
   std::uint64_t retired = 0;
@@ -151,10 +145,6 @@ int Server::num_instances() const { return impl_->instances->num_instances(); }
 int Server::WarmCapacity() const { return impl_->instances->ResidentCount(); }
 
 void Server::Impl::NoteQueueDepth(GpuId gpu) {
-  if (recorder != nullptr) {
-    recorder->Counter(pid, "queue/gpu" + std::to_string(gpu), "depth", sim->now(),
-                      static_cast<double>(queues[Idx(gpu)].size()));
-  }
   if (registry != nullptr) {
     registry->SetGauge("server.queue_depth.gpu" + std::to_string(gpu),
                        static_cast<double>(queues[Idx(gpu)].size()));
@@ -172,39 +162,13 @@ void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& 
   record.start = start;
   record.completion = sim->now();
   record.instance = instance;
+  record.gpu = gpu;
   record.cold = cold;
   record.evict = evict_delay;
   record.load = load_done;
   record.evictions = num_evicted;
   metrics.Record(record);
   ++retired;
-  if (recorder != nullptr) {
-    const Nanos done = sim->now();
-    if (cold) {
-      // Phase decomposition of this cold start on its own track: the four
-      // spans tile [arrival, completion] exactly (exec is the post-load tail;
-      // execution overlaps the transfer under pipelining).
-      const std::string track = "coldstart/gpu" + std::to_string(gpu);
-      const std::string suffix = " i" + std::to_string(instance);
-      // Queue waits of back-to-back cold starts overlap (B arrives while A is
-      // still queued), so they go out as async intervals, which Perfetto
-      // permits to overlap on one track — complete slices must nest.
-      const std::uint64_t qid = next_queue_span_id++;
-      const std::string queued = "queued/gpu" + std::to_string(gpu);
-      recorder->AsyncBegin(pid, queued, "queue" + suffix, qid, req.arrival);
-      recorder->AsyncEnd(pid, queued, "queue" + suffix, qid, start);
-      if (evict_delay > 0) {
-        recorder->Span(pid, track, "evict x" + std::to_string(num_evicted) + suffix,
-                       start, evict_delay);
-      }
-      recorder->Span(pid, track, "transfer" + suffix, start + evict_delay, load_done);
-      recorder->Span(pid, track, "exec" + suffix, start + evict_delay + load_done,
-                     done - start - evict_delay - load_done);
-    } else {
-      recorder->Span(pid, "exec/gpu" + std::to_string(gpu),
-                     "warm i" + std::to_string(instance), start, done - start);
-    }
-  }
   if (registry != nullptr) {
     registry->Observe("server.latency_ms", ToMillis(record.Latency()));
   }
@@ -357,23 +321,13 @@ void Server::Submit(int instance) {
   if (s.registry != nullptr) {
     s.registry->AddCounter("server.requests");
   }
-  if (s.recorder != nullptr) {
-    ++s.cumulative_requests;
-    s.recorder->Counter(s.pid, "cum/requests", "count", s.sim->now(),
-                        static_cast<double>(s.cumulative_requests));
-  }
   s.NoteQueueDepth(gpu);
   s.Dispatch(gpu);
 }
 
-void Server::set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                           int pid) {
-  Impl& s = *impl_;
-  s.recorder = recorder;
-  s.registry = registry;
-  s.pid = pid;
-  s.fabric->fabric().set_telemetry(recorder, registry, pid);
-  s.engine->set_telemetry(recorder, pid);
+void Server::set_telemetry(MetricsRegistry* registry) {
+  impl_->registry = registry;
+  impl_->fabric->fabric().set_telemetry(registry);
 }
 
 void Server::set_causal(CausalGraph* graph, int process) {

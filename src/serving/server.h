@@ -10,6 +10,7 @@
 #ifndef SRC_SERVING_SERVER_H_
 #define SRC_SERVING_SERVER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -19,7 +20,6 @@
 #include "src/engine/strategies.h"
 #include "src/obs/causal_graph.h"
 #include "src/obs/metrics_registry.h"
-#include "src/obs/trace_recorder.h"
 #include "src/serving/instance.h"
 #include "src/serving/metrics.h"
 #include "src/workload/trace.h"
@@ -92,16 +92,18 @@ class Server {
   // Requests queued or executing right now (for least-outstanding routing).
   int OutstandingRequests() const;
 
-  // Attaches telemetry (either pointer may be nullptr) and forwards it to the
-  // engine and fabric; call before Warmup()/Run(). `pid` is this server's
-  // process group in the recorder (cluster runs register one per back-end).
-  // While attached: per-GPU queue-depth counters ("queue/gpu<g>"), cold-start
-  // phase spans on "coldstart/gpu<g>" (queue/evict/transfer/exec), warm exec
-  // spans on "exec/gpu<g>", and registry counters (server.requests,
-  // server.cold_starts, server.warm_hits, server.evictions) plus a
-  // server.latency_ms histogram. Detached cost: one null test per hook.
-  void set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                     int pid = 0);
+  // Attaches a metrics registry (nullptr detaches) and forwards it to the
+  // fabric; call before Warmup()/Run(). While attached: counters
+  // server.requests, server.cold_starts, server.warm_hits, server.evictions,
+  // server.queue_depth.gpu<g> gauges and a server.latency_ms histogram.
+  // Detached cost: one null test per hook. Traces are derived after the run
+  // (src/serving/serving_trace.h).
+  void set_telemetry(MetricsRegistry* registry);
+  // The two-argument form callers such as perfbench/ use; its first slot
+  // (a retired live trace recorder) takes only nullptr.
+  void set_telemetry(std::nullptr_t, MetricsRegistry* registry) {
+    set_telemetry(registry);
+  }
 
   // Attaches a causal graph for critical-path profiling; call before
   // Warmup()/Run(). `process` is this server's process group in the graph.

@@ -35,13 +35,6 @@ double Fabric::link_capacity(LinkId id) const {
   return links_[Idx(id)].capacity;
 }
 
-void Fabric::set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                           int pid) {
-  recorder_ = recorder;
-  registry_ = registry;
-  pid_ = pid;
-}
-
 TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos latency,
                          std::function<void(Nanos elapsed)> done) {
   DP_CHECK(bytes >= 0);
@@ -58,12 +51,12 @@ TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos lat
     registry_->AddCounter("fabric.transfers");
     registry_->AddCounter("fabric.bytes", bytes);
   }
-  if (recorder_ != nullptr) {
+  if (counter_sink_) {
     // Cumulative byte track: the "cum/" namespace promises monotone samples,
     // which the offline trace linter re-checks.
     cumulative_bytes_ += bytes;
-    recorder_->Counter(pid_, "cum/fabric.bytes", "bytes", sim_->now(),
-                       static_cast<double>(cumulative_bytes_));
+    counter_sink_("cum/fabric.bytes", "bytes", sim_->now(),
+                  static_cast<double>(cumulative_bytes_));
   }
   if (bytes == 0 || path.empty()) {
     const Nanos started = sim_->now();
@@ -403,7 +396,7 @@ void Fabric::Reallocate(const std::vector<std::size_t>& seeds, bool seeds_closed
 }
 
 void Fabric::EmitLinkCounters() {
-  if (recorder_ == nullptr) {
+  if (!counter_sink_) {
     return;
   }
   last_emitted_.resize(links_.size(), 0.0);
@@ -415,8 +408,8 @@ void Fabric::EmitLinkCounters() {
   }
   for (std::size_t l = 0; l < links_.size(); ++l) {
     if (allocated[l] != last_emitted_[l]) {
-      recorder_->Counter(pid_, "bw/" + links_[l].name, "gbps", sim_->now(),
-                         allocated[l] * 1e-9);
+      counter_sink_("bw/" + links_[l].name, "gbps", sim_->now(),
+                    allocated[l] * 1e-9);
       last_emitted_[l] = allocated[l];
     }
   }

@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/metrics_registry.h"
-#include "src/obs/trace_recorder.h"
 #include "src/sim/simulator.h"
 #include "src/util/time.h"
 
@@ -55,12 +55,21 @@ class Fabric {
   Nanos SoloDuration(const std::vector<LinkId>& path, std::int64_t bytes,
                      Nanos latency) const;
 
-  // Attaches telemetry (either pointer may be nullptr). While a recorder is
-  // attached, every progressive-filling rate change emits one counter sample
-  // per link whose allocation moved ("bw/<link name>", GB/s, tagged `pid`);
-  // the registry counts transfers and bytes. Disabled cost: one null test.
-  void set_telemetry(TraceRecorder* recorder, MetricsRegistry* registry,
-                     int pid = 0);
+  // Counts transfers and bytes into `registry` ("fabric.transfers",
+  // "fabric.bytes"); nullptr detaches. Disabled cost: one null test.
+  void set_telemetry(MetricsRegistry* registry) { registry_ = registry; }
+
+  // Receives the fabric's counter samples (track, series, time, value): on
+  // every transfer start the running byte total ("cum/fabric.bytes",
+  // "bytes"), and on every progressive-filling rate change one sample per
+  // link whose allocation moved ("bw/<link name>", GB/s, "gbps"). Only a
+  // fabric a trace is derived from carries one: the what-if identity replay
+  // attaches it to the fabric it rebuilds per process (DESIGN.md §8); the
+  // simulated run's own fabric never does.
+  using CounterSink = std::function<void(const std::string& track,
+                                         std::string_view series, Nanos ts,
+                                         double value)>;
+  void set_counter_sink(CounterSink sink) { counter_sink_ = std::move(sink); }
 
   // --- Reservation for a fast-forwarded cold start (DESIGN.md §16) ---
   // Reserves the idle fabric through `until` (inclusive) for work whose
@@ -81,7 +90,6 @@ class Fabric {
   void FollowSplicedCompletionEvents();
   // Time the most recent transfer drained off its links (-1 before any).
   Nanos last_departure() const { return last_departure_; }
-  bool has_recorder() const { return recorder_ != nullptr; }
   MetricsRegistry* registry() const { return registry_; }
 
   // Test hook: disables the incremental (component-local) fair-share solve
@@ -161,9 +169,8 @@ class Fabric {
   std::vector<char> frozen_;        // per subset position
   std::vector<double> shadow_rates_;  // full re-solve result (validation)
 
-  TraceRecorder* recorder_ = nullptr;
   MetricsRegistry* registry_ = nullptr;
-  int pid_ = 0;
+  CounterSink counter_sink_;
   std::vector<double> last_emitted_;  // last counter sample per link
   std::int64_t cumulative_bytes_ = 0;  // cum/fabric.bytes counter track
 };

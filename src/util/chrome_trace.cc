@@ -7,6 +7,7 @@
 #include <tuple>
 #include <utility>
 
+#include "src/obs/selfprof.h"
 #include "src/util/json.h"
 
 namespace deepplan {
@@ -79,6 +80,7 @@ bool EventBefore(const TraceEvent& a, const TraceEvent& b) {
 }  // namespace
 
 std::string ChromeTraceWriter::ToJson(const TraceDocument& doc) {
+  DP_SELFPROF_SCOPE(kTraceSerialize);
   std::vector<TraceEvent> events = doc.events;
   std::stable_sort(events.begin(), events.end(), EventBefore);
 

@@ -1,16 +1,19 @@
 // Chrome-trace (chrome://tracing / Perfetto) JSON export for simulated
-// runs. The one input shape is a TraceDocument, the obs-layer TraceRecorder's
-// multi-process event set: span ("X"), instant ("i"), counter ("C") and async
-// ("b"/"e") events grouped under named processes ("M" process_name /
-// thread_name metadata records). A single cold start renders as the pictures
-// in Figures 7-9 of the paper (PCIe loads, NVLink migration and execution
-// overlapping across tracks); a whole server or cluster run opens in Perfetto
-// as per-GPU/per-link tracks with bandwidth and queue-depth graphs overlaid.
+// runs. The one input shape is a TraceDocument, a multi-process event set:
+// span ("X"), instant ("i"), counter ("C") and async ("b"/"e") events grouped
+// under named processes ("M" process_name / thread_name metadata records),
+// derived after a run from what it recorded (CausalTrace, ServingTrace). A
+// single cold start renders as the pictures in Figures 7-9 of the paper
+// (PCIe loads, NVLink migration and execution overlapping across tracks); a
+// whole server or cluster run opens in Perfetto as per-GPU/per-link tracks
+// with bandwidth and queue-depth graphs overlaid.
 //
 // Output is byte-stable: event/track names are JSON-escaped (including
 // control characters), events are sorted by timestamp with deterministic
 // tie-breaking (parent spans before their children), and track ids are
-// assigned from the sorted track set, never from arrival order.
+// assigned from the sorted track set, never from arrival order. Derived
+// documents hold one counter sample per (process, track, instant), so no
+// two events that render differently ever tie in the sort.
 #ifndef SRC_UTIL_CHROME_TRACE_H_
 #define SRC_UTIL_CHROME_TRACE_H_
 
@@ -49,7 +52,7 @@ struct TraceEvent {
 };
 
 // A full trace: process names (index = pid; missing/empty entries render as
-// "pid <n>") plus the event set. Produced by obs::TraceRecorder.
+// "pid <n>") plus the event set.
 struct TraceDocument {
   std::vector<std::string> process_names;
   std::vector<TraceEvent> events;

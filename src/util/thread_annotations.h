@@ -19,13 +19,13 @@
 //      lock are REQUIRES-annotated.
 //
 //   2. *Thread-confined, deterministic hand-off* (NOT lockable): order-
-//      sensitive sinks — TraceRecorder and CausalGraph's accumulation
-//      vectors — and the sim-internal pools (SlotPool/ObjectPool). Locking
-//      those would not make them correct: their append *order* is part of
-//      the byte-identical-output contract, and a shared locked instance
-//      would interleave in wall-clock order. They stay owned by one thread
-//      and are stitched in deterministic task order (TraceRecorder::Adopt,
-//      CausalGraph::Adopt, SweepRunner's task-index result slots); the
+//      sensitive sinks — CausalGraph's accumulation vectors, from which
+//      traces are derived after the run — and the sim-internal pools
+//      (SlotPool/ObjectPool). Locking those would not make them correct:
+//      their append *order* is part of the byte-identical-output contract,
+//      and a shared locked instance would interleave in wall-clock order.
+//      They stay owned by one thread and are stitched in deterministic task
+//      order (CausalGraph::Adopt, SweepRunner's task-index result slots); the
 //      happens-before edge for the hand-off is ThreadPool::Wait. See
 //      DESIGN.md §14.
 //

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/model/zoo.h"
 #include "src/serving/cluster.h"
+#include "src/serving/serving_trace.h"
 #include "src/workload/poisson.h"
 
 namespace deepplan {
@@ -120,17 +124,19 @@ TEST(ClusterTest, TelemetryRecordsEveryRoutingDecision) {
   const int type = cluster.RegisterModelType(ModelZoo::BertBase());
   cluster.AddInstances(type, 40);
 
-  TraceRecorder recorder(/*enabled=*/true);
   MetricsRegistry registry;
-  cluster.EnableTelemetry(&recorder, &registry);
+  cluster.EnableTelemetry(&registry);
+  std::vector<CausalGraph> graphs(2);
+  cluster.set_causal({&graphs[0], &graphs[1]});
 
   const Trace trace = SmallTrace(40, 60, 5, 3);
   const ServingMetrics m = cluster.Run(trace);
   EXPECT_EQ(m.count(), trace.size());
+  const TraceDocument doc = ClusterTrace(cluster, std::move(graphs));
 
   // One instant event on the router track per request.
   std::size_t instants = 0;
-  for (const TraceEvent& e : recorder.document().events) {
+  for (const TraceEvent& e : doc.events) {
     if (e.phase == TracePhase::kInstant && e.track == "router") {
       ++instants;
     }
@@ -149,9 +155,9 @@ TEST(ClusterTest, TelemetryRecordsEveryRoutingDecision) {
   EXPECT_EQ(routed, static_cast<std::int64_t>(trace.size()));
 
   // Router plus one process per back-end, all named in the export.
-  EXPECT_EQ(recorder.document().process_names.size(),
+  EXPECT_EQ(doc.process_names.size(),
             1u + static_cast<std::size_t>(cluster.num_servers()));
-  const std::string json = recorder.ToJson();
+  const std::string json = ChromeTraceWriter::ToJson(doc);
   EXPECT_NE(json.find("\"router\""), std::string::npos);
   EXPECT_NE(json.find("\"server0\""), std::string::npos);
   EXPECT_NE(json.find("\"server1\""), std::string::npos);

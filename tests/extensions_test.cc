@@ -1,12 +1,12 @@
 // Tests for the extension modules: distributed execution (the Section 2.3
 // road-not-taken), eviction policies, Algorithm 1 ordering ablation, plan
-// repository persistence, Chrome-trace timeline recording, and the DGX-1
+// repository persistence, Chrome-trace timelines derived from a cold run's
+// causal graph, and the DGX-1
 // topology.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <string>
@@ -254,8 +254,8 @@ TEST(PlanRepositoryTest, MissingKeyAndCorruptFile) {
 
 // ---------------------------------------------------------------- timeline
 
-// A cold run's load/migrate/exec operations as the attached trace recorder
-// holds them: exec spans, and load/migrate async begin/end pairs joined by id.
+// A cold run's load/migrate/exec operations as its derived trace holds
+// them: exec spans, and load/migrate async begin/end pairs joined by id.
 struct Interval {
   std::string name;
   std::string track;
@@ -290,13 +290,18 @@ TEST(TimelineTest, RecordingCapturesLoadsMigrationsAndExecs) {
   Simulator sim;
   ServerFabric fabric(&sim, &topology);
   Engine engine(&sim, &fabric, &perf);
-  TraceRecorder recorder(/*enabled=*/true);
-  engine.set_telemetry(&recorder, recorder.RegisterProcess("cold start"));
+  CausalGraph graph;
+  engine.set_causal(&graph);
+  ColdRunOptions options;
+  options.causal_request =
+      graph.BeginRequest(graph.RegisterProcess("cold start"), 0, 0);
   InferenceResult result;
-  engine.RunCold(model, plan, 0, {2}, ColdRunOptions{},
-                 [&](const InferenceResult& r) { result = r; });
+  engine.RunCold(model, plan, 0, {2}, options, [&](const InferenceResult& r) {
+    result = r;
+    graph.EndRequest(options.causal_request, sim.now(), r.causal_terminal);
+  });
   sim.Run();
-  const std::vector<Interval> intervals = EngineIntervals(recorder.document());
+  const std::vector<Interval> intervals = EngineIntervals(CausalTrace(graph));
   ASSERT_FALSE(intervals.empty());
   bool saw_load = false;
   bool saw_migrate = false;
@@ -330,42 +335,23 @@ TEST(TimelineTest, RecordingDoesNotChangeLatency) {
     Simulator sim;
     ServerFabric fabric(&sim, &topology);
     Engine engine(&sim, &fabric, &perf);
-    TraceRecorder recorder(/*enabled=*/true);
+    CausalGraph graph;
+    ColdRunOptions options;
     if (recording == 1) {
-      engine.set_telemetry(&recorder, recorder.RegisterProcess("cold start"));
+      engine.set_causal(&graph);
+      options.causal_request =
+          graph.BeginRequest(graph.RegisterProcess("cold start"), 0, 0);
     }
     InferenceResult result;
-    engine.RunCold(model, plan, 0, {}, ColdRunOptions{},
-                   [&](const InferenceResult& r) { result = r; });
+    engine.RunCold(model, plan, 0, {}, options, [&](const InferenceResult& r) {
+      result = r;
+      graph.EndRequest(options.causal_request, sim.now(), r.causal_terminal);
+    });
     sim.Run();
     latency[recording] = result.latency;
-    EXPECT_EQ(recorder.empty(), recording == 0);
+    EXPECT_EQ(CausalTrace(graph).events.empty(), recording == 0);
   }
   EXPECT_EQ(latency[0], latency[1]);
-}
-
-TEST(ChromeTraceTest, JsonIsWellFormedAndEscaped) {
-  TraceDocument doc;
-  doc.events = {
-      {TracePhase::kSpan, 0, "pcie/gpu0", "load \"emb\"", Micros(1), Micros(10)},
-      {TracePhase::kSpan, 0, "exec/gpu0", "exec emb", Micros(11), Micros(5)},
-  };
-  const std::string json = ChromeTraceWriter::ToJson(doc);
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("load \\\"emb\\\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_EQ(json.back(), '}');
-}
-
-TEST(ChromeTraceTest, WriteToFile) {
-  const std::string path = ::testing::TempDir() + "/trace_test.json";
-  TraceDocument doc;
-  doc.events = {{TracePhase::kSpan, 0, "t", "a", 0, 10}};
-  EXPECT_TRUE(ChromeTraceWriter::WriteTo(path, doc));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------- dgx1

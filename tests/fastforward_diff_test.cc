@@ -30,6 +30,8 @@
 #include "src/obs/metrics_registry.h"
 #include "src/obs/selfprof.h"
 #include "src/serving/server.h"
+#include "src/serving/serving_trace.h"
+#include "src/util/chrome_trace.h"
 #include "src/util/rng.h"
 #include "src/workload/poisson.h"
 
@@ -137,6 +139,7 @@ std::string Describe(const ServingConfig& c) {
 struct ServingRun {
   std::vector<RequestRecord> records;
   std::string journal;  // empty unless recorded
+  std::string trace;    // the derived Chrome trace (accumulated graphs only)
   // Fabric registry counters (attached on odd seeds; 0 otherwise).
   std::int64_t fabric_transfers = 0;
   std::int64_t fabric_bytes = 0;
@@ -160,7 +163,7 @@ ServingRun RunServing(const ServingConfig& c, bool fast_forward,
   }
   MetricsRegistry registry;
   if (c.seed % 2 == 1) {
-    server.set_telemetry(nullptr, &registry);
+    server.set_telemetry(&registry);
   }
   for (const Model& model : c.models) {
     server.AddInstances(server.RegisterModelType(model), c.instances_per_model);
@@ -172,11 +175,16 @@ ServingRun RunServing(const ServingConfig& c, bool fast_forward,
   poisson.seed = c.seed;
   const Trace trace = GeneratePoissonTrace(poisson);
   ServingRun run;
-  run.counts =
-      CountFastForwards([&]() { run.records = server.Run(trace).records(); });
+  ServingMetrics metrics;
+  run.counts = CountFastForwards([&]() { metrics = server.Run(trace); });
+  run.records = metrics.records();
   run.fabric_transfers = registry.counter("fabric.transfers");
   run.fabric_bytes = registry.counter("fabric.bytes");
   run.journal = capture.Finish();
+  if (journal == Journal::kGraph) {
+    run.trace =
+        ChromeTraceWriter::ToJson(ServingTrace(*capture.graph(), {&metrics}));
+  }
   return run;
 }
 
@@ -186,6 +194,7 @@ void ExpectSameRun(const ServingRun& fast, const ServingRun& slow,
   EXPECT_EQ(fast.fabric_bytes, slow.fabric_bytes) << what;
   EXPECT_EQ(slow.counts.hits, 0u) << what;
   EXPECT_TRUE(fast.journal == slow.journal) << what << ": journals differ";
+  EXPECT_TRUE(fast.trace == slow.trace) << what << ": derived traces differ";
   const std::vector<RequestRecord>& a = fast.records;
   const std::vector<RequestRecord>& b = slow.records;
   ASSERT_EQ(a.size(), b.size()) << what;
@@ -245,7 +254,8 @@ TEST(FastForwardServingDiffTest, RandomConfigsMatchEventByEvent) {
 }
 
 // The same randomized configs, contention-dense ones included, with a causal
-// journal recorded: streamed to a file and accumulated for ToJson.
+// journal recorded: streamed to a file, and accumulated for ToJson and the
+// trace derived from it.
 TEST(FastForwardServingDiffTest, RecordedConfigsMatchEventByEventJournals) {
   FastForwardCounts total;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -253,6 +263,7 @@ TEST(FastForwardServingDiffTest, RecordedConfigsMatchEventByEventJournals) {
     for (const Journal journal : {Journal::kStream, Journal::kGraph}) {
       const ServingRun fast = RunServing(c, /*fast_forward=*/true, journal);
       ASSERT_FALSE(fast.journal.empty());
+      ASSERT_EQ(fast.trace.empty(), journal == Journal::kStream);
       ExpectSameRun(fast, RunServing(c, /*fast_forward=*/false, journal),
                     Describe(c) + (journal == Journal::kStream ? " stream" : " json"));
       total.hits += fast.counts.hits;

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -22,13 +23,14 @@
 #include "src/obs/journal_stream.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/selfprof.h"
-#include "src/obs/trace_recorder.h"
+#include "src/obs/whatif/whatif.h"
 #include "src/serving/server.h"
+#include "src/serving/serving_trace.h"
 #include "src/util/chrome_trace.h"
 #include "tests/json_checker.h"
 
-// Global allocation counter: the disabled-recorder test pins the "zero cost
-// when off" contract by proving dropped events never touch the heap.
+// Global allocation counter: the disabled-graph test pins the "zero cost
+// when off" contract by proving dropped records never touch the heap.
 namespace {
 std::size_t g_allocations = 0;
 }  // namespace
@@ -63,118 +65,6 @@ namespace deepplan {
 namespace {
 
 using testutil::JsonChecker;
-
-// ---------------------------------------------------------------- recorder
-
-TEST(TraceRecorderTest, DisabledRecorderAllocatesNothing) {
-  TraceRecorder off(/*enabled=*/false);
-  EXPECT_FALSE(off.enabled());
-  const std::size_t before = g_allocations;
-  const int pid = off.RegisterProcess("server0");
-  off.Span(pid, "exec/gpu0", "warm i3", Micros(10), Micros(5));
-  off.Instant(pid, "router", "i3->s1", Micros(10));
-  off.Counter(pid, "bw/pcie", "gbps", Micros(10), 12.5);
-  const std::size_t after = g_allocations;
-  EXPECT_EQ(pid, 0);
-  EXPECT_EQ(after, before);
-  EXPECT_TRUE(off.empty());
-  EXPECT_EQ(off.size(), 0u);
-}
-
-TEST(TraceRecorderTest, RecordsSpansInstantsAndCounters) {
-  TraceRecorder rec(/*enabled=*/true);
-  const int pid = rec.RegisterProcess("engine");
-  rec.Span(pid, "exec/gpu0", "layer0", Micros(1), Micros(2));
-  rec.Instant(pid, "router", "decision", Micros(3));
-  rec.Counter(pid, "bw/pcie", "gbps", Micros(4), 10.0);
-  ASSERT_EQ(rec.size(), 3u);
-  const std::string json = rec.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  // Counter events carry the sample in args under the series key, and the
-  // counter's name is the track (one Perfetto counter track per link).
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"bw/pcie\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\":{\"gbps\":10}"), std::string::npos) << json;
-}
-
-TEST(TraceRecorderTest, EmitsProcessAndThreadMetadata) {
-  TraceRecorder rec(/*enabled=*/true);
-  const int pid = rec.RegisterProcess("PT+DHA");
-  rec.Span(pid, "exec/gpu0", "warm", 0, Micros(1));
-  const std::string json = rec.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
-  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"PT+DHA\""), std::string::npos);
-  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"exec/gpu0\""), std::string::npos);
-}
-
-TEST(TraceRecorderTest, ParentSpanSortsBeforeEnclosedChildAtEqualStart) {
-  TraceRecorder rec(/*enabled=*/true);
-  const int pid = rec.RegisterProcess("p");
-  // Appended child-first; the writer must still order the enclosing span
-  // first so nesting renders correctly.
-  rec.Span(pid, "t", "child", Micros(5), Micros(1));
-  rec.Span(pid, "t", "parent", Micros(5), Micros(10));
-  const std::string json = rec.ToJson();
-  const std::size_t parent = json.find("\"name\":\"parent\"");
-  const std::size_t child = json.find("\"name\":\"child\"");
-  ASSERT_NE(parent, std::string::npos);
-  ASSERT_NE(child, std::string::npos);
-  EXPECT_LT(parent, child) << json;
-}
-
-TEST(TraceRecorderTest, ExportIsByteStable) {
-  const auto fill = [] {
-    TraceRecorder rec(/*enabled=*/true);
-    const int a = rec.RegisterProcess("a");
-    const int b = rec.RegisterProcess("b");
-    rec.Span(b, "exec/gpu1", "x", Micros(2), Micros(2));
-    rec.Span(a, "exec/gpu0", "x", Micros(2), Micros(2));
-    rec.Counter(a, "bw/pcie", "gbps", Micros(1), 3.5);
-    rec.Instant(b, "router", "d", Micros(2));
-    return rec.ToJson();
-  };
-  EXPECT_EQ(fill(), fill());
-}
-
-TEST(TraceRecorderTest, AdoptRemapsProcessIds) {
-  TraceRecorder master(/*enabled=*/true);
-  const int a = master.RegisterProcess("strategyA");
-  master.Span(a, "exec/gpu0", "warm", 0, Micros(1));
-
-  TraceRecorder task(/*enabled=*/true);
-  const int b = task.RegisterProcess("strategyB");
-  EXPECT_EQ(b, 0);  // task recorders number their own processes from zero
-  task.Span(b, "exec/gpu0", "warm", 0, Micros(1));
-
-  master.Adopt(std::move(task));
-  ASSERT_EQ(master.document().process_names.size(), 2u);
-  EXPECT_EQ(master.document().process_names[1], "strategyB");
-  ASSERT_EQ(master.size(), 2u);
-  // The adopted event moved past the processes already registered here.
-  EXPECT_EQ(master.document().events[1].pid, 1);
-  const std::string json = master.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\"strategyA\""), std::string::npos);
-  EXPECT_NE(json.find("\"strategyB\""), std::string::npos);
-}
-
-TEST(TraceRecorderTest, EscapesControlCharactersInNames) {
-  TraceRecorder rec(/*enabled=*/true);
-  const int pid = rec.RegisterProcess("p");
-  rec.Span(pid, "t", std::string("bad\x01name\tquote\""), 0, Micros(1));
-  const std::string json = rec.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_NE(json.find("\\u0001"), std::string::npos) << json;
-  EXPECT_NE(json.find("\\t"), std::string::npos) << json;
-  EXPECT_NE(json.find("\\\""), std::string::npos) << json;
-  // The raw control byte must not leak into the document.
-  EXPECT_EQ(json.find('\x01'), std::string::npos);
-}
 
 // ---------------------------------------------------------------- registry
 
@@ -309,9 +199,9 @@ TEST(MetricsRegistryTest, WriterWithoutRegistryTouchesNoMetrics) {
 }
 
 TEST(CausalGraphTest, DisabledGraphAllocatesNothing) {
-  // The disabled hot path mirrors the TraceRecorder contract: every recorder
-  // call drops without touching the heap, so journaling costs nothing when
-  // off. (Short labels stay in SSO buffers; the graph must not copy them.)
+  // The disabled hot path: every recorder call drops without touching the
+  // heap, so journaling costs nothing when off. (Short labels stay in SSO
+  // buffers; the graph must not copy them.)
   CausalGraph off(/*enabled=*/false);
   EXPECT_FALSE(off.enabled());
   const std::size_t before = g_allocations;
@@ -333,32 +223,26 @@ TEST(CausalGraphTest, DisabledGraphAllocatesNothing) {
 
 // ---------------------------------------------------------------- end to end
 
-// One PT+DHA cold start on the 2-GPU A5000 box with telemetry attached: the
-// golden path of the observability stack. The exported document must be
-// valid, Perfetto-loadable (metadata + spans + counters) and byte-stable.
-// With a causal graph the run also records its nodes there.
+// One PT+DHA cold start on the 2-GPU A5000 box, recorded in a causal graph:
+// the golden path of the observability stack. The trace derived from the
+// graph must be valid, Perfetto-loadable (metadata + spans + counters) and
+// byte-stable.
 class ColdStartTraceTest : public ::testing::Test {
  protected:
-  static std::string RunOnce(
-      TraceRecorder* out_recorder, MetricsRegistry* out_registry,
-      CausalGraph* graph = nullptr,
+  // Runs the cold start as request 0 of `graph` and returns the trace
+  // derived from the graph.
+  static TraceDocument RunOnce(
+      CausalGraph* graph, MetricsRegistry* registry = nullptr,
       ColdRunOptions options = MakeColdRunOptions(Strategy::kDeepPlanPtDha)) {
     const Topology topology = Topology::A5000Box();
     const PerfModel perf(topology.gpu(), topology.pcie());
     Simulator sim;
     ServerFabric fabric(&sim, &topology);
     Engine engine(&sim, &fabric, &perf);
-
-    TraceRecorder local(/*enabled=*/true);
-    TraceRecorder* recorder = out_recorder != nullptr ? out_recorder : &local;
-    const int pid = recorder->RegisterProcess("PT+DHA cold start");
-    engine.set_telemetry(recorder, pid);
-    fabric.fabric().set_telemetry(recorder, out_registry, pid);
-    if (graph != nullptr) {
-      engine.set_causal(graph);
-      options.causal_request =
-          graph->BeginRequest(graph->RegisterProcess("PT+DHA cold start"), 0, 0);
-    }
+    fabric.fabric().set_telemetry(registry);
+    engine.set_causal(graph);
+    options.causal_request =
+        graph->BeginRequest(graph->RegisterProcess("PT+DHA cold start"), 0, 0);
 
     const Model model = ModelZoo::BertBase();
     ProfilerOptions popts;
@@ -372,18 +256,27 @@ class ColdStartTraceTest : public ::testing::Test {
     InferenceResult result;
     engine.RunCold(model, plan, /*primary=*/0,
                    TransmissionPlanner::ChooseSecondaries(topology, 0, degree),
-                   options, [&](const InferenceResult& r) { result = r; });
+                   options, [&](const InferenceResult& r) {
+                     result = r;
+                     graph->EndRequest(options.causal_request, sim.now(),
+                                       r.causal_terminal);
+                   });
     sim.Run();
     EXPECT_GT(result.latency, 0);
-    return recorder->ToJson();
+    return CausalTrace(*graph);
+  }
+
+  static std::string RunOnceJson() {
+    CausalGraph graph;
+    return ChromeTraceWriter::ToJson(RunOnce(&graph));
   }
 };
 
 TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
-  TraceRecorder recorder(/*enabled=*/true);
+  CausalGraph graph;
   MetricsRegistry registry;
-  const std::string json = RunOnce(&recorder, &registry);
-  EXPECT_FALSE(recorder.empty());
+  const std::string json =
+      ChromeTraceWriter::ToJson(RunOnce(&graph, &registry));
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   // Per-GPU PCIe load tracks (PT splits the model over both GPUs), the
   // primary's exec track, NVLink migration, and per-link bandwidth counters.
@@ -400,9 +293,41 @@ TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
 }
 
 TEST_F(ColdStartTraceTest, IdenticalRunsExportIdenticalBytes) {
-  const std::string a = RunOnce(nullptr, nullptr);
-  const std::string b = RunOnce(nullptr, nullptr);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(RunOnceJson(), RunOnceJson());
+}
+
+// Stitching graphs (CausalGraph::Adopt) remaps their processes past the ones
+// already present, and the derived trace follows: one trace process per
+// graph process, events tagged with the remapped pid.
+TEST(CausalTraceTest, StitchedGraphsKeepTheirProcesses) {
+  const auto one_warm_request = [](const std::string& process) {
+    CausalGraph graph;
+    const int req = graph.BeginRequest(graph.RegisterProcess(process), 0, 0);
+    const CpNodeId exec =
+        graph.AddNode(req, CpKind::kExec, "warm i0", "exec/gpu0", 0, Micros(1));
+    graph.AddEdge(graph.arrival_node(req), exec);
+    graph.EndRequest(req, Micros(1), exec);
+    return graph;
+  };
+  CausalGraph merged = one_warm_request("strategyA");
+  CausalGraph task = one_warm_request("strategyB");
+  const TraceDocument own = CausalTrace(task);
+  ASSERT_EQ(own.events.size(), 1u);
+  EXPECT_EQ(own.events[0].pid, 0);  // a task graph numbers its own processes
+
+  merged.Adopt(std::move(task));
+  const TraceDocument doc = CausalTrace(merged);
+  ASSERT_EQ(doc.process_names,
+            (std::vector<std::string>{"strategyA", "strategyB"}));
+  ASSERT_EQ(doc.events.size(), 2u);
+  EXPECT_EQ(doc.events[0].pid, 0);
+  EXPECT_EQ(doc.events[1].pid, 1);
+  EXPECT_EQ(doc.events[1].phase, TracePhase::kSpan);
+  EXPECT_EQ(doc.events[1].name, "warm i0");
+  const std::string json = ChromeTraceWriter::ToJson(doc);
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find("\"strategyA\""), std::string::npos);
+  EXPECT_NE(json.find("\"strategyB\""), std::string::npos);
 }
 
 // -------------------------------------------------- one record per operation
@@ -411,9 +336,9 @@ TEST_F(ColdStartTraceTest, IdenticalRunsExportIdenticalBytes) {
 using OpKey = std::tuple<std::string, std::string, Nanos, Nanos>;
 
 // The ColdStartTraceTest run under each migration mode, pipelined and
-// Baseline-gated, with both sinks attached: the trace's load/migrate/exec
-// intervals and the causal graph's transfer/exec nodes must be the same set
-// of operations, one to one.
+// Baseline-gated: the derived trace's load/migrate/exec intervals and the
+// causal graph's transfer/exec nodes must be the same set of operations, one
+// to one, with every async id used once.
 class EngineRecordingTest
     : public ColdStartTraceTest,
       public ::testing::WithParamInterface<std::tuple<MigrationMode, bool>> {};
@@ -423,9 +348,8 @@ TEST_P(EngineRecordingTest, EveryTraceIntervalMatchesOneCausalNode) {
   ColdRunOptions options = MakeColdRunOptions(Strategy::kDeepPlanPtDha);
   options.migration = migration;
   options.pipelined = pipelined;
-  TraceRecorder recorder(/*enabled=*/true);
   CausalGraph graph(/*enabled=*/true);
-  RunOnce(&recorder, nullptr, &graph, options);
+  const TraceDocument trace = RunOnce(&graph, nullptr, options);
 
   std::multiset<OpKey> nodes;
   for (const CpNode& n : graph.nodes()) {
@@ -435,7 +359,7 @@ TEST_P(EngineRecordingTest, EveryTraceIntervalMatchesOneCausalNode) {
   }
   std::map<std::uint64_t, TraceEvent> open;
   std::vector<OpKey> intervals;
-  for (const TraceEvent& e : recorder.document().events) {
+  for (const TraceEvent& e : trace.events) {
     if (e.phase == TracePhase::kSpan) {
       intervals.push_back(OpKey{e.name, e.track, e.ts, e.ts + e.duration});
     } else if (e.phase == TracePhase::kAsyncBegin) {
@@ -488,7 +412,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------- goldens
 
-// Byte-exact pins of two traced runs under tests/golden/. A mismatch writes
+// Byte-exact pins of two traces derived from recorded runs under
+// tests/golden/. A mismatch writes
 // the new bytes next to the test's temp files and names the first differing
 // offset; copy that file over the golden only when the change is intended.
 void ExpectMatchesGolden(const std::string& name, const std::string& actual) {
@@ -510,14 +435,13 @@ void ExpectMatchesGolden(const std::string& name, const std::string& actual) {
 }
 
 TEST_F(ColdStartTraceTest, TwoGpuTraceMatchesGoldenBytes) {
-  ExpectMatchesGolden("coldstart_a5000_pt_dha.trace.json",
-                      RunOnce(nullptr, nullptr));
+  ExpectMatchesGolden("coldstart_a5000_pt_dha.trace.json", RunOnceJson());
 }
 
 // A PT+DHA server on the 4-GPU P3 box with room for one single-layer encoder
 // instance per GPU: the first four requests evict and cold-start side by side
-// through shared PCIe uplinks and NVLink, the last one runs warm. Trace
-// recorder and causal graph are both attached, so the engine emits to both.
+// through shared PCIe uplinks and NVLink, the last one runs warm. The trace
+// is derived from the causal graph and the server's request records.
 TEST(ServerTraceGoldenTest, OverlappingColdStartsMatchGoldenBytes) {
   const Topology topology = Topology::P3_8xlarge();
   const PerfModel perf(topology.gpu(), topology.pcie());
@@ -527,8 +451,6 @@ TEST(ServerTraceGoldenTest, OverlappingColdStartsMatchGoldenBytes) {
   const int type = server.RegisterModelType(
       ModelZoo::TransformerEncoder("encoder_1l", 30522, 768, 1, 3072, 384));
   server.AddInstances(type, 8);
-  TraceRecorder recorder(/*enabled=*/true);
-  server.set_telemetry(&recorder, nullptr, recorder.RegisterProcess("server"));
   CausalGraph graph(/*enabled=*/true);
   server.set_causal(&graph, graph.RegisterProcess("serve"));
   const ServingMetrics metrics = server.Run(Trace({{0, 4},
@@ -537,7 +459,19 @@ TEST(ServerTraceGoldenTest, OverlappingColdStartsMatchGoldenBytes) {
                                                    {Micros(50), 7},
                                                    {Millis(40), 4}}));
   ASSERT_EQ(metrics.count(), 5u);
-  ExpectMatchesGolden("server_overlapping_cold.trace.json", recorder.ToJson());
+  TraceDocument trace = ServingTrace(graph, {&metrics});
+  // Counters hold one sample per (process, track, instant).
+  std::set<std::tuple<int, std::string, Nanos>> samples;
+  for (const TraceEvent& e : trace.events) {
+    if (e.phase == TracePhase::kCounter) {
+      EXPECT_TRUE(samples.emplace(e.pid, e.track, e.ts).second)
+          << e.track << " sampled twice at " << e.ts;
+    }
+  }
+  // The trace golden names the process "server", the causal golden "serve".
+  trace.process_names[0] = "server";
+  ExpectMatchesGolden("server_overlapping_cold.trace.json",
+                      ChromeTraceWriter::ToJson(trace));
   ExpectMatchesGolden("server_overlapping_cold.causal.json", graph.ToJson());
 }
 
@@ -587,20 +521,22 @@ TEST(FabricTelemetryTest, ContendedLinkEmitsChangingCounterSamples) {
   // contention on X comes and goes: 6 (sharing) -> 12 (A done) -> 0 (B done).
   const LinkId x = fabric.AddLink("pcie/uplink", 12.0e9);
   const LinkId y = fabric.AddLink("pcie/gpu1", 20.0e9);
-  TraceRecorder recorder(/*enabled=*/true);
   MetricsRegistry registry;
-  fabric.set_telemetry(&recorder, &registry, recorder.RegisterProcess("fabric"));
+  fabric.set_telemetry(&registry);
+  std::vector<double> y_samples;
+  fabric.set_counter_sink([&y_samples](const std::string& track,
+                                       std::string_view series, Nanos,
+                                       double value) {
+    if (track == "bw/pcie/gpu1") {
+      EXPECT_EQ(series, "gbps");
+      y_samples.push_back(value);
+    }
+  });
   fabric.Start({x}, 300'000'000, 0, [](Nanos) {});
   sim.ScheduleAt(Millis(10), [&] {
     fabric.Start({x, y}, 600'000'000, 0, [](Nanos) {});
   });
   sim.Run();
-  std::vector<double> y_samples;
-  for (const TraceEvent& e : recorder.document().events) {
-    if (e.phase == TracePhase::kCounter && e.track == "bw/pcie/gpu1") {
-      y_samples.push_back(e.value);
-    }
-  }
   EXPECT_EQ(registry.counter("fabric.transfers"), 2);
   EXPECT_EQ(registry.counter("fabric.bytes"), 900'000'000);
   ASSERT_GE(y_samples.size(), 3u);

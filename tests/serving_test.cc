@@ -4,6 +4,7 @@
 #include "src/serving/instance.h"
 #include "src/serving/metrics.h"
 #include "src/serving/server.h"
+#include "src/serving/serving_trace.h"
 #include "src/workload/poisson.h"
 
 namespace deepplan {
@@ -252,9 +253,10 @@ TEST_F(ServerTest, TelemetryCountersMatchServingMetrics) {
   const int type = server.RegisterModelType(ModelZoo::BertBase());
   server.AddInstances(type, 40);
 
-  TraceRecorder recorder(/*enabled=*/true);
   MetricsRegistry registry;
-  server.set_telemetry(&recorder, &registry, recorder.RegisterProcess("server"));
+  server.set_telemetry(&registry);
+  CausalGraph graph;
+  server.set_causal(&graph, graph.RegisterProcess("server"));
 
   PoissonOptions w;
   w.rate_per_sec = 60;
@@ -275,9 +277,9 @@ TEST_F(ServerTest, TelemetryCountersMatchServingMetrics) {
             static_cast<std::int64_t>(m.count() - m.ColdStartCount()));
   EXPECT_EQ(registry.histogram("server.latency_ms").count, m.count());
 
-  // The recorder saw the cold-start phase decomposition and queue depths.
-  EXPECT_FALSE(recorder.empty());
-  const std::string json = recorder.ToJson();
+  // The derived trace shows the cold-start phase decomposition, queue depths
+  // and the fabric's bandwidth.
+  const std::string json = ChromeTraceWriter::ToJson(ServingTrace(graph, {&m}));
   EXPECT_NE(json.find("coldstart/gpu"), std::string::npos);
   EXPECT_NE(json.find("\"transfer i"), std::string::npos);
   EXPECT_NE(json.find("queue/gpu"), std::string::npos);

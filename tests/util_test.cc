@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/util/chrome_trace.h"
@@ -369,6 +371,108 @@ TEST(ChromeTraceTest, RoundTripsTrackAndNameFields) {
     const std::string meta = std::string("\"args\":{\"name\":\"") + track + "\"}";
     EXPECT_NE(json.find(meta), std::string::npos) << track;
   }
+}
+
+TEST(ChromeTraceTest, RendersEveryPhase) {
+  TraceDocument doc;
+  doc.process_names = {"engine"};
+  doc.events = {
+      {TracePhase::kSpan, 0, "exec/gpu0", "layer0", Micros(1), Micros(2)},
+      {TracePhase::kInstant, 0, "router", "decision", Micros(3)},
+      {TracePhase::kCounter, 0, "bw/pcie", "gbps", Micros(4), 0, 10.0},
+      {TracePhase::kAsyncBegin, 0, "pcie/gpu0", "load emb", Micros(5), 0, 0.0, 7},
+      {TracePhase::kAsyncEnd, 0, "pcie/gpu0", "load emb", Micros(6), 0, 0.0, 7},
+  };
+  const std::string json = ChromeTraceWriter::ToJson(doc);
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+  // Counter events carry the sample in args under the series key, and the
+  // counter's name is the track (one Perfetto counter track per link).
+  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"bw/pcie\""), std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"gbps\":10}"), std::string::npos) << json;
+  // Async intervals pair by id, with the track as their category.
+  EXPECT_NE(json.find("\"ph\":\"b\",\"pid\":0,\"tid\":1,\"cat\":\"pcie/gpu0\","
+                      "\"id\":7"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
+}
+
+TEST(ChromeTraceTest, EmitsProcessAndThreadMetadata) {
+  TraceDocument doc;
+  doc.process_names = {"PT+DHA", ""};
+  doc.events = {{TracePhase::kSpan, 0, "exec/gpu0", "warm", 0, Micros(1)},
+                {TracePhase::kSpan, 1, "exec/gpu1", "warm", 0, Micros(1)}};
+  const std::string json = ChromeTraceWriter::ToJson(doc);
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\","
+                      "\"args\":{\"name\":\"PT+DHA\"}}"),
+            std::string::npos)
+      << json;
+  // An unnamed process renders as "pid <n>".
+  EXPECT_NE(json.find("\"args\":{\"name\":\"pid 1\"}"), std::string::npos);
+  // Thread ids restart per process.
+  EXPECT_NE(json.find("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
+                      "\"args\":{\"name\":\"exec/gpu1\"}}"),
+            std::string::npos)
+      << json;
+}
+
+TEST(ChromeTraceTest, ParentSpanSortsBeforeEnclosedChildAtEqualStart) {
+  // Appended child-first; the writer must still order the enclosing span
+  // first so nesting renders correctly.
+  TraceDocument doc;
+  doc.events = {{TracePhase::kSpan, 0, "t", "child", Micros(5), Micros(1)},
+                {TracePhase::kSpan, 0, "t", "parent", Micros(5), Micros(10)}};
+  const std::string json = ChromeTraceWriter::ToJson(doc);
+  const std::size_t parent = json.find("\"name\":\"parent\"");
+  const std::size_t child = json.find("\"name\":\"child\"");
+  ASSERT_NE(parent, std::string::npos);
+  ASSERT_NE(child, std::string::npos);
+  EXPECT_LT(parent, child) << json;
+}
+
+TEST(ChromeTraceTest, BytesDoNotDependOnEventOrder) {
+  // A derived document holds one counter sample per (process, track,
+  // instant), so no two events that render differently tie in the sort:
+  // every append order renders the same bytes.
+  TraceDocument doc;
+  doc.process_names = {"a", "b"};
+  doc.events = {
+      {TracePhase::kSpan, 1, "exec/gpu1", "x", Micros(2), Micros(2)},
+      {TracePhase::kSpan, 0, "exec/gpu0", "x", Micros(2), Micros(2)},
+      {TracePhase::kCounter, 0, "bw/pcie", "gbps", Micros(1), 0, 3.5},
+      {TracePhase::kCounter, 0, "bw/pcie", "gbps", Micros(2), 0, 1.5},
+      {TracePhase::kInstant, 1, "router", "d", Micros(2)},
+      {TracePhase::kAsyncBegin, 0, "pcie/gpu0", "load", Micros(2), 0, 0.0, 1},
+      {TracePhase::kAsyncBegin, 0, "pcie/gpu0", "load", Micros(2), 0, 0.0, 0},
+      {TracePhase::kAsyncEnd, 0, "pcie/gpu0", "load", Micros(3), 0, 0.0, 0},
+      {TracePhase::kAsyncEnd, 0, "pcie/gpu0", "load", Micros(3), 0, 0.0, 1},
+  };
+  const std::string expected = ChromeTraceWriter::ToJson(doc);
+  for (int rotation = 1; rotation < static_cast<int>(doc.events.size());
+       ++rotation) {
+    TraceDocument rotated = doc;
+    std::rotate(rotated.events.begin(), rotated.events.begin() + rotation,
+                rotated.events.end());
+    std::reverse(rotated.events.begin() + 1, rotated.events.end());
+    EXPECT_EQ(ChromeTraceWriter::ToJson(rotated), expected) << rotation;
+  }
+}
+
+TEST(ChromeTraceTest, EscapesControlCharactersInNames) {
+  TraceDocument doc;
+  doc.events = {{TracePhase::kSpan, 0, "t", std::string("bad\x01name\tquote\""),
+                 0, Micros(1)}};
+  const std::string json = ChromeTraceWriter::ToJson(doc);
+  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
+  EXPECT_NE(json.find("\\u0001"), std::string::npos) << json;
+  EXPECT_NE(json.find("\\t"), std::string::npos) << json;
+  EXPECT_NE(json.find("\\\""), std::string::npos) << json;
+  // The raw control byte must not leak into the document.
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
 }
 
 TEST(ChromeTraceTest, WriteToRoundTripsAndReportsIoFailure) {
