@@ -144,19 +144,23 @@ inline std::string PrettyModelName(const std::string& zoo_name) {
 }
 
 // Machine-readable bench output: config key/values, one JsonObject per data
-// point, plus the worker count and wall-clock of the run. Write() renders
-//   {"bench":<name>,"jobs":N,"config":{...},"points":[...],"wall_clock_ms":T}
+// point, plus the worker count, wall clock and process CPU time of the run.
+// Write() renders
+//   {"bench":<name>,"jobs":N,"config":{...},"points":[...],
+//    "wall_clock_ms":T,"cpu_ms":C}
 // to BENCH_<name>.json in $DEEPPLAN_BENCH_DIR (default: current directory).
-// Everything except wall_clock_ms is deterministic for a given config and
-// independent of DEEPPLAN_JOBS; the wall clock is what records the sweep
-// speedup across thread counts.
+// Everything except wall_clock_ms and cpu_ms is deterministic for a given
+// config and independent of DEEPPLAN_JOBS; the wall clock is what records
+// the sweep speedup across thread counts, and CPU time (summed over threads,
+// blind to other processes on the host) is what overhead gates compare.
 class BenchReport {
  public:
   explicit BenchReport(std::string name, int jobs = DefaultSweepJobs())
       : name_(std::move(name)),
         jobs_(jobs),
         // deepplan-lint: allow(raw-entropy, wall-clock bench timing; only feeds wall_clock_ms, which the golden gate ignores)
-        start_(std::chrono::steady_clock::now()) {}
+        start_(std::chrono::steady_clock::now()),
+        start_cpu_ns_(selfprof::ProcessCpuNs()) {}
 
   JsonObject& config() { return config_; }
 
@@ -182,7 +186,9 @@ class BenchReport {
         .Set("jobs", jobs_)
         .SetRaw("config", config_.Render())
         .SetRaw("points", points.Render())
-        .Set("wall_clock_ms", wall_ms);
+        .Set("wall_clock_ms", wall_ms)
+        .Set("cpu_ms",
+             static_cast<double>(selfprof::ProcessCpuNs() - start_cpu_ns_) / 1e6);
     return doc.Render();
   }
 
@@ -210,6 +216,7 @@ class BenchReport {
   int jobs_;
   // deepplan-lint: allow(raw-entropy, wall-clock bench timing; only feeds wall_clock_ms, which the golden gate ignores)
   std::chrono::steady_clock::time_point start_;
+  std::int64_t start_cpu_ns_;
   JsonObject config_;
   std::deque<JsonObject> points_;  // deque: AddPoint() references stay valid
 };

@@ -94,9 +94,10 @@ for bench in "$BUILD_DIR"/bench/*; do
 done
 
 # Regression gate: every checked-in golden under bench/golden/ must match the
-# fresh BENCH output point-for-point (wall_clock_ms and jobs are ignored by
-# the differ, so goldens gate across hosts). DEEPPLAN_BENCH_TOL widens the
-# relative tolerance; the simulator is deterministic, so the default is exact.
+# fresh BENCH output point-for-point (wall_clock_ms, cpu_ms and jobs are
+# ignored by the differ, so goldens gate across hosts). DEEPPLAN_BENCH_TOL
+# widens the relative tolerance; the simulator is deterministic, so the
+# default is exact.
 # Runs before the traced/profiled replays below, which overwrite some BENCH
 # files with short-run variants. Skips gracefully when no goldens exist.
 echo "== bench_diff regression gate"
@@ -311,13 +312,16 @@ DEEPPLAN_BENCH_DIR="$RESULTS_DIR/selfprof_jobs2" DEEPPLAN_JOBS=2 \
 cmp "$RESULTS_DIR/selfprof/deterministic.json" \
   "$RESULTS_DIR/selfprof_jobs2/deterministic.json"
 
-# Overhead gate: self-profiling must stay under 3% wall-clock slowdown at
-# the full 1M-request curve, best-of-5 vs best-of-5 (the minimum absorbs
-# scheduler noise; single short runs are too jittery to gate on — tab05
-# prints one for orientation only). The profiled runs double as the
+# Overhead gate: self-profiling must stay under 3% slowdown at the full
+# 1M-request curve, best-of-5 vs best-of-5 (the minimum absorbs scheduler
+# noise; single short runs are too jittery to gate on — tab05 prints one for
+# orientation only). It compares process CPU time (BENCH cpu_ms, from
+# getrusage), not wall clock: on a shared host, wall clock also counts time
+# other processes take, and the sub-second runs gated here failed the 3%
+# wall-clock bound on unchanged code. The profiled runs double as the
 # full-scale report: the first one's 1M lane must lint clean and attribute
 # >=90% of its wall clock, answering ROADMAP item 1's open question.
-echo "== selfprof overhead gate (1M curve, best-of-5, max 3% slowdown)"
+echo "== selfprof overhead gate (1M curve, best-of-5 CPU time, max 3% slowdown)"
 OVH_BASE_DIRS=()
 OVH_CAND_ARGS=()
 for i in 1 2 3 4 5; do

@@ -3,8 +3,8 @@
 // style location. Numbers compare under a configurable relative tolerance
 // (plus a tiny absolute floor for values near zero); strings, bools, and
 // structure must match exactly. Machine-dependent keys ("wall_clock_ms",
-// "jobs" by default) are skipped wherever they appear, so goldens recorded on
-// one host gate runs on another.
+// "cpu_ms", "jobs" by default) are skipped wherever they appear, so goldens
+// recorded on one host gate runs on another.
 //
 // Used by tools/bench_diff (nonzero exit on any difference) and wired into
 // scripts/run_all.sh against the checked-in goldens under bench/golden/.
@@ -21,7 +21,7 @@ struct BenchDiffOptions {
   double rel_tol = 0.0;   // relative tolerance for numeric leaves
   double abs_tol = 1e-9;  // absolute floor (values this close count equal)
   // Keys skipped at any depth — machine/load dependent, never regressions.
-  std::vector<std::string> ignored_keys = {"wall_clock_ms", "jobs"};
+  std::vector<std::string> ignored_keys = {"wall_clock_ms", "cpu_ms", "jobs"};
 };
 
 struct BenchDiffEntry {

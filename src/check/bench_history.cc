@@ -53,6 +53,8 @@ bool ParseBenchRun(const std::string& path, const std::string& dir,
   out->jobs = static_cast<int>(jobs->AsNumber());
   out->num_points = points->items().size();
   out->wall_clock_ms = wall->AsNumber();
+  const JsonValue* cpu = doc.Find("cpu_ms");
+  out->cpu_ms = cpu != nullptr && cpu->is_number() ? cpu->AsNumber() : -1.0;
   return true;
 }
 
@@ -90,22 +92,23 @@ std::vector<BenchRun> ScanBenchDir(const std::string& dir,
 std::vector<BenchComparison> CompareBenchRuns(
     const std::vector<BenchRun>& baseline,
     const std::vector<BenchRun>& candidate, double max_slowdown) {
-  // Best (minimum) wall-clock per bench name on each side; std::map keys the
+  // Best (minimum) CPU time per bench name on each side; std::map keys the
   // output alphabetically, independent of scan order.
-  std::map<std::string, double> base_best;
-  std::map<std::string, double> cand_best;
-  for (const BenchRun& run : baseline) {
-    const auto [it, inserted] = base_best.emplace(run.bench, run.wall_clock_ms);
-    if (!inserted) {
-      it->second = std::min(it->second, run.wall_clock_ms);
+  const auto best_of = [](const std::vector<BenchRun>& runs) {
+    std::map<std::string, double> best;
+    for (const BenchRun& run : runs) {
+      if (run.cpu_ms < 0.0) {
+        continue;  // a report from before cpu_ms existed
+      }
+      const auto [it, inserted] = best.emplace(run.bench, run.cpu_ms);
+      if (!inserted) {
+        it->second = std::min(it->second, run.cpu_ms);
+      }
     }
-  }
-  for (const BenchRun& run : candidate) {
-    const auto [it, inserted] = cand_best.emplace(run.bench, run.wall_clock_ms);
-    if (!inserted) {
-      it->second = std::min(it->second, run.wall_clock_ms);
-    }
-  }
+    return best;
+  };
+  const std::map<std::string, double> base_best = best_of(baseline);
+  const std::map<std::string, double> cand_best = best_of(candidate);
   std::map<std::string, BenchComparison> merged;
   for (const auto& [bench, best] : base_best) {
     merged[bench].bench = bench;

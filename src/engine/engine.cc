@@ -504,8 +504,7 @@ void Engine::FinishFastForward(FastForwardRun* ff) {
   // The completion event stands in for the run's last exec event. Anything
   // else due at this instant may belong before or after that event, so the
   // run is replayed to find its exact position (same-ns tie rule).
-  const EventQueue& queue = sim_->event_queue();
-  if (!queue.empty() && queue.NextTime() == sim_->now()) {
+  if (!sim_->idle() && sim_->NextEventTime() == sim_->now()) {
     Materialize(ff, CatchUpCause::kCompletionTie);
     return;
   }
@@ -1001,11 +1000,8 @@ Nanos Engine::WarmDhaPcieTime(const Model& model, const ExecutionPlan& plan,
 
 void Engine::RunWarm(const Model& model, const ExecutionPlan& plan, int batch,
                      std::function<void(InferenceResult)> done) {
-  RunWarmFor(WarmDuration(model, plan, batch), std::move(done));
-}
-
-void Engine::RunWarmFor(Nanos duration, std::function<void(InferenceResult)> done) {
   const Nanos start = sim_->now();
+  const Nanos duration = WarmDuration(model, plan, batch);
   sim_->ScheduleAfter(duration, [this, start, duration, done = std::move(done)]() {
     InferenceResult result;
     result.latency = sim_->now() - start;

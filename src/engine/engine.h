@@ -148,15 +148,11 @@ class Engine {
 
   // Warm inference: parameters already placed per `plan` (DHA layers execute
   // from host memory even when warm — that is DeepPlan's residency tradeoff).
-  // Pass a default all-load plan for fully GPU-resident models.
+  // Pass a default all-load plan for fully GPU-resident models. The server
+  // does not call this: it schedules its warm completions as inline events
+  // with the WarmDuration it cached at registration.
   void RunWarm(const Model& model, const ExecutionPlan& plan, int batch,
                std::function<void(InferenceResult)> done);
-
-  // Warm inference with a precomputed duration: behaves exactly like RunWarm
-  // called on a (model, plan, batch) whose WarmDuration equals `duration`.
-  // Serving hot loops cache WarmDuration per registered model (it is a pure
-  // function of the plan) instead of re-summing every layer per request.
-  void RunWarmFor(Nanos duration, std::function<void(InferenceResult)> done);
 
   // Duration a warm inference takes (closed form; RunWarm occupies this).
   Nanos WarmDuration(const Model& model, const ExecutionPlan& plan, int batch) const;

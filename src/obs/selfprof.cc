@@ -5,6 +5,10 @@
 #include <cstring>
 #include <fstream>
 
+#if defined(__unix__)
+#include <sys/resource.h>
+#endif
+
 #include "src/util/json.h"
 #include "src/util/logging.h"
 
@@ -59,6 +63,8 @@ const char* CounterName(Counter counter) {
       return "engine.cold_fast_forward";
     case Counter::kColdMaterialized:
       return "engine.cold_materialized";
+    case Counter::kInlineEventsDispatched:
+      return "inline_events_dispatched";
   }
   return "?";
 }
@@ -100,6 +106,22 @@ std::int64_t ReadProcStatusKb(const char* key) {
 
 std::int64_t CurrentRssKb() { return ReadProcStatusKb("VmRSS:"); }
 std::int64_t PeakRssKb() { return ReadProcStatusKb("VmHWM:"); }
+
+std::int64_t ProcessCpuNs() {
+#if defined(__unix__)
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) {
+    return 0;
+  }
+  const auto ns = [](const timeval& t) {
+    return static_cast<std::int64_t>(t.tv_sec) * 1'000'000'000 +
+           static_cast<std::int64_t>(t.tv_usec) * 1'000;
+  };
+  return ns(usage.ru_utime) + ns(usage.ru_stime);
+#else
+  return 0;
+#endif
+}
 
 SelfProfiler::SelfProfiler() {
   Node root;

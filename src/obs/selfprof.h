@@ -98,8 +98,9 @@ enum class Counter : std::uint8_t {
   kHeartbeats,            // DEEPPLAN_PROGRESS lines emitted (wall-dependent)
   kColdFastForward,       // cold starts replayed from a template
   kColdMaterialized,      // fast-forwarded cold starts caught up event by event
+  kInlineEventsDispatched,  // inline events fired by Simulator::RunUntil
 };
-inline constexpr int kNumCounters = 5;
+inline constexpr int kNumCounters = 6;
 
 const char* CounterName(Counter counter);
 bool CounterDeterministic(Counter counter);
@@ -112,6 +113,10 @@ std::int64_t MonotonicNowNs();
 // Resident-set readings from /proc/self/status (kB); 0 where unavailable.
 std::int64_t CurrentRssKb();
 std::int64_t PeakRssKb();
+// CPU time (user + system) this process has used, all threads, from
+// getrusage; 0 where unavailable. Unlike wall time, it does not count time
+// the host scheduler gave to other processes.
+std::int64_t ProcessCpuNs();
 
 // One profiling lane: a tree of phase nodes plus counters. Thread-confined
 // (see header comment); copyable so sweep tasks can return it by value in

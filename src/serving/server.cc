@@ -30,7 +30,40 @@ struct PendingRequest {
   int causal = -1;  // causal-graph request id (-1 when profiling is off)
 };
 
-struct Server::Impl {
+// One GPU's queued requests, first in first out. A vector with a moving
+// head reuses its storage, where std::deque allocates and frees a chunk
+// every few dozen requests.
+class RequestFifo {
+ public:
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  const PendingRequest& front() const { return items_[head_]; }
+  void push_back(const PendingRequest& req) { items_.push_back(req); }
+  void pop_front() {
+    ++head_;
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (2 * head_ >= items_.size()) {
+      // A backlog that never drains: drop the served half, amortized O(1).
+      items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  std::vector<PendingRequest> items_;
+  std::size_t head_ = 0;
+};
+
+// A warm request running on a GPU. Each GPU runs at most one request
+// (gpu_busy), so one slot per GPU holds everything its completion needs.
+struct WarmRun {
+  PendingRequest req;
+  Nanos start = 0;
+};
+
+struct Server::Impl final : InlineEventHandler {
   Topology topology;
   PerfModel perf;
   ServerOptions options;
@@ -43,8 +76,9 @@ struct Server::Impl {
 
   std::vector<ModelEntry> models;
   std::vector<int> instance_model;  // instance id -> model type
-  std::vector<std::deque<PendingRequest>> queues;  // per GPU
+  std::vector<RequestFifo> queues;  // per GPU
   std::vector<bool> gpu_busy;
+  std::vector<WarmRun> warm_runs;  // per GPU; valid while its warm run lasts
   int next_gpu = 0;  // round-robin placement cursor
   int outstanding = 0;
   bool warmed_up = false;
@@ -68,6 +102,7 @@ struct Server::Impl {
         topology.num_gpus(), options.usable_bytes_per_gpu, options.eviction_policy);
     queues.resize(Idx(topology.num_gpus()));
     gpu_busy.assign(Idx(topology.num_gpus()), false);
+    warm_runs.resize(Idx(topology.num_gpus()));
     sim->AddProgressCounter(&retired);
   }
 
@@ -78,6 +113,8 @@ struct Server::Impl {
   }
 
   void Dispatch(GpuId gpu);
+  // The warm completion on GPU `gpu` (an inline event).
+  void OnInlineEvent(int gpu) override;
   void FinishRequest(GpuId gpu, int instance, const PendingRequest& req, Nanos start,
                      bool cold, Nanos evict_delay, Nanos load_done, int num_evicted,
                      CpNodeId causal_terminal = -1);
@@ -197,6 +234,14 @@ void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& 
   Dispatch(gpu);
 }
 
+void Server::Impl::OnInlineEvent(int gpu) {
+  // Copied out: finishing dispatches the GPU's next request, which may
+  // overwrite the slot.
+  const WarmRun run = warm_runs[Idx(gpu)];
+  FinishRequest(gpu, run.req.instance, run.req, run.start, /*cold=*/false,
+                /*evict_delay=*/0, /*load_done=*/0, /*num_evicted=*/0);
+}
+
 void Server::Impl::Dispatch(GpuId gpu) {
   if (gpu_busy[Idx(gpu)] || queues[Idx(gpu)].empty()) {
     return;
@@ -217,12 +262,8 @@ void Server::Impl::Dispatch(GpuId gpu) {
     if (registry != nullptr) {
       registry->AddCounter("server.warm_hits");
     }
-    engine->RunWarmFor(entry.warm_duration,
-                       [this, gpu, instance, req, start](const InferenceResult&) {
-                         FinishRequest(gpu, instance, req, start, /*cold=*/false,
-                                       /*evict_delay=*/0, /*load_done=*/0,
-                                       /*num_evicted=*/0);
-                       });
+    warm_runs[Idx(gpu)] = {req, start};
+    sim->ScheduleInlineAfter(entry.warm_duration, this, gpu);
     return;
   }
 
@@ -350,7 +391,8 @@ ServingMetrics Server::Run(const Trace& trace) {
   Warmup();
   for (const Arrival& a : trace.arrivals()) {
     DP_CHECK(a.instance >= 0 && a.instance < s.instances->num_instances());
-    s.sim->ScheduleAt(a.time, [this, a]() { Submit(a.instance); });
+    // Captures fit std::function's local buffer: no allocation per arrival.
+    s.sim->ScheduleAt(a.time, [this, instance = a.instance]() { Submit(instance); });
   }
   s.sim->Run();
   return s.metrics;

@@ -261,6 +261,13 @@ std::uint64_t EventQueue::NextSeq() const {
   return cur_[head_].seq;
 }
 
+std::pair<Nanos, std::uint64_t> EventQueue::NextKey() const {
+  EventQueue* self = const_cast<EventQueue*>(this);
+  const bool has = self->EnsureFront();
+  DP_CHECK(has);
+  return {cur_[head_].when, cur_[head_].seq};
+}
+
 std::pair<Nanos, EventQueue::Callback> EventQueue::PopNext() {
   const bool has = EnsureFront();
   DP_CHECK(has);

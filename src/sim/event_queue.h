@@ -60,6 +60,8 @@ class EventQueue {
   // Sequence number of the earliest pending event; must not be called when
   // empty.
   std::uint64_t NextSeq() const;
+  // NextTime() and NextSeq() in one lookup.
+  std::pair<Nanos, std::uint64_t> NextKey() const;
 
   // Pops and returns the earliest event (time + callback). Must not be empty.
   std::pair<Nanos, Callback> PopNext();
@@ -68,6 +70,15 @@ class EventQueue {
   EventId last_popped_id() const { return last_popped_id_; }
   // Sequence number the next Schedule will assign.
   std::uint64_t next_seq() const { return seq_; }
+  // Takes that sequence number without scheduling anything: the tie-break
+  // position of an event held outside the queue (Simulator's inline events),
+  // which then pops among this queue's events exactly where a Schedule made
+  // now would. Not counted in total_scheduled().
+  std::uint64_t ReserveSeq() {
+    const std::uint64_t seq = seq_;
+    seq_ += kSeqStride;
+    return seq;
+  }
   // Forgets the pop horizon the validator checks pops against, so a reused
   // side queue may start again from an earlier time.
   void ResetPopHorizon() { last_popped_ = std::numeric_limits<Nanos>::min(); }

@@ -1,5 +1,8 @@
 // Single-threaded discrete-event simulator: a clock plus an event queue.
-// Components schedule callbacks; Run() drains events in time order.
+// Components schedule callbacks; Run() drains events in time order. Inline
+// events (DESIGN.md §12) are the callback-free alternative for the hottest
+// schedules: a handler pointer and an int, fired at exactly the (time,
+// sequence) position a queued callback scheduled at the same moment takes.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -14,6 +17,15 @@
 #include "src/util/time.h"
 
 namespace deepplan {
+
+// Receiver of inline events: OnInlineEvent(arg) runs as the event's callback.
+class InlineEventHandler {
+ public:
+  virtual void OnInlineEvent(int arg) = 0;
+
+ protected:
+  ~InlineEventHandler() = default;
+};
 
 class Simulator {
  public:
@@ -31,18 +43,33 @@ class Simulator {
   EventQueue::EventId ScheduleAt(Nanos when, Callback cb);
   bool Cancel(EventQueue::EventId id) { return queue_.Cancel(id); }
 
-  // Runs until the queue is empty. Returns the final clock value.
+  // Schedules handler->OnInlineEvent(arg) `delay` after the current time
+  // (delay >= 0). It takes the sequence number a ScheduleAfter made now would
+  // take, so it fires in the same (time, sequence) order, but it allocates
+  // nothing and holds no queue slot. It cannot be cancelled, and scheduling
+  // one during a catch-up is a DP_CHECK failure: a replay only fires and
+  // splices queue events (DESIGN.md §12).
+  void ScheduleInlineAfter(Nanos delay, InlineEventHandler* handler, int arg);
+
+  // Runs until no event is pending. Returns the final clock value.
   Nanos Run();
-  // Runs until the queue is empty or the clock would pass `deadline`; events
-  // at exactly `deadline` still fire.
+  // Runs until no event is pending or the clock would pass `deadline`;
+  // events at exactly `deadline` still fire.
   Nanos RunUntil(Nanos deadline);
 
-  bool idle() const { return queue_.empty(); }
-  std::size_t pending_events() const { return queue_.size(); }
-  // Queue introspection (slot reuse / scheduling volume) for tests + benches.
+  // Pending events count queued and inline ones alike.
+  bool idle() const { return queue_.empty() && inline_.empty(); }
+  std::size_t pending_events() const { return queue_.size() + inline_.size(); }
+  // Earliest pending event time, queued or inline; must not be called when
+  // idle().
+  Nanos NextEventTime() const;
+  // Queue introspection (slot reuse / scheduling volume) for tests + benches;
+  // inline events are not in it.
   const EventQueue& event_queue() const { return queue_; }
-  // Events popped and fired by this simulator over its lifetime.
+  // Queue events popped and fired by this simulator over its lifetime.
   std::uint64_t events_dispatched() const { return dispatched_; }
+  // Inline events fired over its lifetime.
+  std::uint64_t inline_events_dispatched() const { return inline_dispatched_; }
 
   // Live progress heartbeat (DEEPPLAN_PROGRESS=<seconds>, fractional ok):
   // when enabled, the dispatch loop emits a stderr line at most once per
@@ -114,6 +141,17 @@ class Simulator {
     std::uint64_t next_seq;  // queue position when its callback started
   };
 
+  struct InlineEvent {
+    Nanos when;
+    std::uint64_t seq;  // reserved from queue_, so it orders against it
+    InlineEventHandler* handler;
+    int arg;
+  };
+  // Heap order: the top is the earliest (when, seq).
+  static bool InlineLater(const InlineEvent& a, const InlineEvent& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+
   void MaybeEmitProgress();
   // Schedule position of events the current catch-up dispatch schedules.
   std::uint64_t CatchUpPosition();
@@ -123,14 +161,20 @@ class Simulator {
   Nanos now_ = 0;
   EventQueue queue_;
   std::uint64_t dispatched_ = 0;
+  // Pending inline events, a min-heap by (when, seq). Few at a time: a
+  // server keeps at most one per GPU.
+  std::vector<InlineEvent> inline_;
+  std::uint64_t inline_dispatched_ = 0;
   Nanos progress_period_ns_;  // 0 = heartbeat disabled
   std::int64_t progress_last_wall_ns_ = 0;
   std::uint64_t progress_last_dispatched_ = 0;
   std::vector<const std::uint64_t*> progress_counters_;
 
-  // Whether a callback is running (inside RunUntil), and the time through
-  // which a drain has fired every event.
+  // Whether a callback is running (inside RunUntil), the sequence number of
+  // the event it belongs to, and the time through which a drain has fired
+  // every event.
   bool dispatching_ = false;
+  std::uint64_t dispatch_seq_ = 0;
   Nanos drained_through_ = std::numeric_limits<Nanos>::min();
 
   std::vector<Nanos> log_holds_;  // start times of open holds

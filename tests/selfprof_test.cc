@@ -23,7 +23,9 @@
 #include "bench/scaling_common.h"
 #include "src/check/bench_history.h"
 #include "src/check/trace_lint.h"
+#include "src/model/zoo.h"
 #include "src/obs/selfprof.h"
+#include "src/serving/server.h"
 #include "src/sim/simulator.h"
 #include "src/util/json_parse.h"
 #include "src/util/sweep.h"
@@ -94,6 +96,52 @@ TEST(SelfProfTest, DisabledScopesAllocateNothing) {
   }
   const std::size_t after = g_allocations;
   EXPECT_EQ(after, before);
+}
+
+// Heap allocations of a warm-only Server::Run beyond those of the event
+// queue's own storage: `requests` arrivals 10 ms apart, round-robin over four
+// resident instances (one per GPU). Server::Run schedules every arrival up
+// front, so the queue grows with the trace; the baseline schedules the same
+// times on a bare simulator, with closures that fit std::function's local
+// buffer, and is subtracted.
+std::size_t WarmRunAllocationsOverQueue(int requests) {
+  const Topology topo = Topology::P3_8xlarge();
+  const PerfModel perf(topo.gpu(), topo.pcie());
+  Server server(topo, perf, ServerOptions{});
+  server.AddInstances(server.RegisterModelType(ModelZoo::BertBase()), 4);
+  std::vector<Arrival> arrivals;
+  for (int i = 0; i < requests; ++i) {
+    arrivals.push_back({Millis(10) * i, i % 4});
+  }
+  const Trace trace(std::move(arrivals));
+
+  std::size_t before = g_allocations;
+  {
+    Simulator sim;
+    int fired = 0;
+    for (const Arrival& a : trace.arrivals()) {
+      sim.ScheduleAt(a.time, [&fired] { ++fired; });
+    }
+    sim.Run();
+  }
+  const std::size_t queue_only = g_allocations - before;
+
+  before = g_allocations;
+  const ServingMetrics metrics = server.Run(trace);
+  const std::size_t run = g_allocations - before;
+  EXPECT_EQ(metrics.count(), static_cast<std::size_t>(requests));
+  for (const RequestRecord& record : metrics.records()) {
+    EXPECT_FALSE(record.cold);
+  }
+  return run - queue_only;
+}
+
+TEST(SelfProfTest, WarmServingAllocationsDoNotGrowWithTraceLength) {
+  // Arrival closures, warm completions and the GPU queues allocate nothing
+  // per request; what is left is the request-record vector's doublings.
+  const std::size_t small = WarmRunAllocationsOverQueue(2000);
+  const std::size_t large = WarmRunAllocationsOverQueue(16000);
+  EXPECT_LE(large, small + 8) << small << " -> " << large;
 }
 
 // --------------------------------------------------------- tree + sampling
@@ -495,9 +543,10 @@ TEST(SelfProfSweepTest, JournaledFastForwardCountersPinnedAcrossJobs) {
 
 // ----------------------------------------------------------- bench history
 
-// Writes a minimal BENCH document; returns its path.
+// Writes a minimal BENCH document; returns its path. A negative `cpu_ms`
+// leaves the key out, as reports from before it existed do.
 std::string WriteBench(const std::string& dir, const std::string& bench,
-                       double wall_ms, int points = 1) {
+                       double wall_ms, int points = 1, double cpu_ms = -1.0) {
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/BENCH_" + bench + ".json";
   std::ofstream out(path);
@@ -505,13 +554,17 @@ std::string WriteBench(const std::string& dir, const std::string& bench,
   for (int i = 0; i < points; ++i) {
     out << (i != 0 ? "," : "") << "{\"i\":" << i << "}";
   }
-  out << "],\"wall_clock_ms\":" << wall_ms << "}\n";
+  out << "],\"wall_clock_ms\":" << wall_ms;
+  if (cpu_ms >= 0.0) {
+    out << ",\"cpu_ms\":" << cpu_ms;
+  }
+  out << "}\n";
   return path;
 }
 
 TEST(BenchHistoryTest, ScansSortedAndSkipsMalformed) {
   const std::string dir = testing::TempDir() + "/selfprof_bh_scan";
-  WriteBench(dir, "zeta", 10.0);
+  WriteBench(dir, "zeta", 10.0, /*points=*/1, /*cpu_ms=*/9.5);
   WriteBench(dir, "alpha", 20.0, /*points=*/3);
   {
     std::ofstream bad(dir + "/BENCH_broken.json");
@@ -530,6 +583,8 @@ TEST(BenchHistoryTest, ScansSortedAndSkipsMalformed) {
   EXPECT_EQ(runs[0].jobs, 4);
   EXPECT_EQ(runs[1].bench, "zeta");
   EXPECT_EQ(runs[1].wall_clock_ms, 10.0);
+  EXPECT_EQ(runs[1].cpu_ms, 9.5);
+  EXPECT_EQ(runs[0].cpu_ms, -1.0);  // no cpu_ms in the report
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("BENCH_broken.json"), std::string::npos);
 }
@@ -537,18 +592,18 @@ TEST(BenchHistoryTest, ScansSortedAndSkipsMalformed) {
 TEST(BenchHistoryTest, CompareTakesBestOfEachSideAndGates) {
   std::vector<check::BenchRun> baseline(3);
   baseline[0].bench = "scaling";
-  baseline[0].wall_clock_ms = 110.0;
+  baseline[0].cpu_ms = 110.0;
   baseline[1].bench = "scaling";
-  baseline[1].wall_clock_ms = 100.0;  // best
+  baseline[1].cpu_ms = 100.0;  // best
   baseline[2].bench = "fig13";
-  baseline[2].wall_clock_ms = 50.0;
+  baseline[2].cpu_ms = 50.0;
   std::vector<check::BenchRun> candidate(3);
   candidate[0].bench = "scaling";
-  candidate[0].wall_clock_ms = 109.0;
+  candidate[0].cpu_ms = 109.0;
   candidate[1].bench = "scaling";
-  candidate[1].wall_clock_ms = 102.0;  // best: 2% slower than baseline best
+  candidate[1].cpu_ms = 102.0;  // best: 2% slower than baseline best
   candidate[2].bench = "fig15";
-  candidate[2].wall_clock_ms = 75.0;
+  candidate[2].cpu_ms = 75.0;
 
   const std::vector<check::BenchComparison> gated =
       check::CompareBenchRuns(baseline, candidate, /*max_slowdown=*/1.03);
@@ -574,6 +629,37 @@ TEST(BenchHistoryTest, CompareTakesBestOfEachSideAndGates) {
       check::CompareBenchRuns(baseline, candidate, /*max_slowdown=*/0.0);
   EXPECT_NEAR(report[2].slowdown, 1.02, 1e-12);
   EXPECT_FALSE(report[2].regressed);
+}
+
+TEST(BenchHistoryTest, GateReadsCpuTimeNotWallClock) {
+  std::vector<check::BenchRun> baseline(3);
+  std::vector<check::BenchRun> candidate(1);
+  for (check::BenchRun& run : baseline) {
+    run.bench = "scaling";
+  }
+  baseline[0].wall_clock_ms = 140.0;  // another process took the host
+  baseline[0].cpu_ms = 96.0;          // best
+  baseline[1].wall_clock_ms = 100.0;
+  baseline[1].cpu_ms = 98.0;
+  baseline[2].wall_clock_ms = 60.0;  // no cpu_ms: an older report, left out
+  candidate[0].bench = "scaling";
+  candidate[0].wall_clock_ms = 99.0;
+  candidate[0].cpu_ms = 99.0;  // 3.1% more CPU than the baseline best
+
+  const std::vector<check::BenchComparison> gated =
+      check::CompareBenchRuns(baseline, candidate, /*max_slowdown=*/1.03);
+  ASSERT_EQ(gated.size(), 1u);
+  EXPECT_EQ(gated[0].baseline_best_ms, 96.0);
+  EXPECT_EQ(gated[0].candidate_best_ms, 99.0);
+  EXPECT_NEAR(gated[0].slowdown, 99.0 / 96.0, 1e-12);
+  EXPECT_TRUE(gated[0].regressed);
+
+  // Only older reports on one side: one-sided, never a regression.
+  const std::vector<check::BenchComparison> one_sided = check::CompareBenchRuns(
+      {baseline[2]}, candidate, /*max_slowdown=*/1.03);
+  ASSERT_EQ(one_sided.size(), 1u);
+  EXPECT_EQ(one_sided[0].baseline_best_ms, -1.0);
+  EXPECT_FALSE(one_sided[0].regressed);
 }
 
 }  // namespace

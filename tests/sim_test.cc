@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "src/check/validator.h"
+#include "src/obs/selfprof.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/fabric.h"
 #include "src/sim/simulator.h"
 #include "src/sim/stream.h"
+#include "src/util/rng.h"
 
 namespace deepplan {
 namespace {
@@ -166,6 +170,286 @@ TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(sim.now(), 100);
   EXPECT_FALSE(late_fired);
   EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+// ------------------------------------------------------------ inline events
+
+// Records the argument of every inline event it receives.
+class InlineRecorder final : public InlineEventHandler {
+ public:
+  explicit InlineRecorder(const Simulator* sim) : sim_(sim) {}
+  void OnInlineEvent(int arg) override {
+    fired.emplace_back(sim_->now(), arg);
+  }
+  std::vector<std::pair<Nanos, int>> fired;
+
+ private:
+  const Simulator* sim_;
+};
+
+TEST(InlineEventTest, PendingInlineEventCountsAsPending) {
+  Simulator sim;
+  InlineRecorder handler(&sim);
+  sim.ScheduleInlineAfter(40, &handler, 7);
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.NextEventTime(), 40);
+  EXPECT_TRUE(sim.event_queue().empty());  // it holds no queue slot
+  sim.ScheduleAfter(60, [] {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.NextEventTime(), 40);
+  sim.RunUntil(50);
+  EXPECT_EQ(handler.fired, (std::vector<std::pair<Nanos, int>>{{40, 7}}));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.NextEventTime(), 60);
+  sim.Run();
+  EXPECT_TRUE(sim.idle());
+  // Queue and inline events are counted apart; the queue counts only its own.
+  EXPECT_EQ(sim.events_dispatched(), 1u);
+  EXPECT_EQ(sim.inline_events_dispatched(), 1u);
+  EXPECT_EQ(sim.event_queue().total_scheduled(), 1u);
+}
+
+TEST(InlineEventTest, ValidatorAndSelfProfilerSeeInlineEvents) {
+  check::SetValidationForTesting(1);
+  selfprof::SelfProfiler lane;
+  {
+    selfprof::InstallLane install(&lane);
+    Simulator sim;
+    InlineRecorder handler(&sim);
+    sim.ScheduleInlineAfter(5, &handler, 0);
+    sim.Run();
+  }
+  check::SetValidationForTesting(-1);
+  // One OnSchedule and one OnEventFire.
+  EXPECT_EQ(lane.counter(selfprof::Counter::kValidatorChecks), 2u);
+  EXPECT_EQ(lane.counter(selfprof::Counter::kInlineEventsDispatched), 1u);
+  EXPECT_EQ(lane.counter(selfprof::Counter::kEventsDispatched), 0u);
+}
+
+TEST(InlineEventDeathTest, SchedulingDuringCatchUpDies) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        InlineRecorder handler(&sim);
+        sim.HoldDispatchLog(0);
+        sim.CatchUp(
+            0, sim.next_seq(), Simulator::CatchUpUntil::kBeforeNow,
+            [&] { sim.ScheduleInlineAfter(1, &handler, 0); }, [] {});
+      },
+      "inline events cannot be scheduled");
+}
+
+// One fire of the random schedule below: time, the schedule position its
+// callback started at, and the identity of the event.
+struct FireRecord {
+  Nanos when;
+  std::uint64_t next_seq;
+  int id;
+  bool operator==(const FireRecord& o) const {
+    return when == o.when && next_seq == o.next_seq && id == o.id;
+  }
+};
+
+// A random schedule of queue events and inline entries. With `use_inline`
+// off, every inline entry is scheduled as an ordinary queue event instead;
+// the firing order must not change. Every decision an event makes is a
+// function of its identity, so both runs make the same ones as long as they
+// fire the same events.
+class InlineDiffSchedule final : public InlineEventHandler {
+ public:
+  InlineDiffSchedule(std::uint64_t seed, bool use_inline)
+      : seed_(seed), use_inline_(use_inline), driver_(seed) {}
+
+  void OnInlineEvent(int id) override { Fire(id); }
+
+  std::vector<FireRecord> Run() {
+    for (int i = 0; i < 6; ++i) {
+      Schedule(static_cast<Nanos>(driver_.NextBounded(20)),
+               driver_.NextBounded(2) == 0, /*from_inline=*/false);
+    }
+    while (!sim_.idle()) {
+      // Deadlines often equal a scheduled event's time, so RunUntil stops
+      // with ties at the deadline on either side.
+      Nanos deadline = sim_.now() + static_cast<Nanos>(driver_.NextBounded(8));
+      const std::size_t pick = static_cast<std::size_t>(
+          driver_.NextBounded(times_.size() + 1));
+      if (pick < times_.size() && times_[pick] >= sim_.now()) {
+        deadline = times_[pick];
+      }
+      sim_.RunUntil(deadline);
+      if (budget_ > 0 && driver_.NextBounded(3) == 0) {
+        Schedule(static_cast<Nanos>(driver_.NextBounded(6)),
+                 driver_.NextBounded(2) == 0, /*from_inline=*/false);
+      }
+    }
+    return log_;
+  }
+
+  const Simulator& sim() const { return sim_; }
+  // Coverage, counted from the lane run.
+  int ties_inline_first = 0;
+  int ties_queue_first = 0;
+  int inline_from_queue = 0;
+  int queue_from_inline = 0;
+  int catch_ups_over_inline_fires = 0;
+  int cancels = 0;
+
+ private:
+  void Schedule(Nanos delay, bool inline_entry, bool from_inline) {
+    --budget_;
+    const int id = static_cast<int>(is_inline_.size());
+    is_inline_.push_back(inline_entry);
+    times_.push_back(sim_.now() + delay);
+    if (inline_entry) {
+      inline_from_queue += from_inline ? 0 : 1;
+    } else {
+      queue_from_inline += from_inline ? 1 : 0;
+    }
+    if (inline_entry && use_inline_) {
+      sim_.ScheduleInlineAfter(delay, this, id);
+      return;
+    }
+    const EventQueue::EventId event =
+        sim_.ScheduleAfter(delay, [this, id] { Fire(id); });
+    if (!inline_entry) {
+      cancellable_.push_back(event);
+    }
+  }
+
+  void Record(int id) {
+    if (!log_.empty() && log_.back().when == sim_.now()) {
+      const bool prev_inline = is_inline_[static_cast<std::size_t>(log_.back().id)];
+      const bool this_inline = is_inline_[static_cast<std::size_t>(id)];
+      ties_inline_first += prev_inline && !this_inline ? 1 : 0;
+      ties_queue_first += !prev_inline && this_inline ? 1 : 0;
+    }
+    log_.push_back({sim_.now(), sim_.next_seq(), id});
+  }
+
+  void Fire(int id) {
+    Record(id);
+    Rng rng(seed_ * 1000003 + static_cast<std::uint64_t>(id));
+    const bool from_inline = is_inline_[static_cast<std::size_t>(id)];
+    if (from_inline) {
+      inline_fires_since_hold_ += 1;
+    }
+    const int children = budget_ > 0 ? static_cast<int>(rng.NextBounded(3)) : 0;
+    for (int k = 0; k < children; ++k) {
+      // Half of the delays fall in a 3 ns window: same-ns ties are common.
+      const Nanos delay = rng.NextBounded(2) == 0
+                              ? static_cast<Nanos>(rng.NextBounded(3))
+                              : static_cast<Nanos>(rng.NextBounded(40));
+      Schedule(delay, rng.NextBounded(2) == 0, from_inline);
+    }
+    if (!cancellable_.empty() && rng.NextBounded(4) == 0) {
+      // A neighbour: one of the last few queue events scheduled.
+      const std::size_t back = static_cast<std::size_t>(
+          rng.NextBounded(std::min<std::size_t>(3, cancellable_.size())));
+      const std::size_t at = cancellable_.size() - 1 - back;
+      cancels += sim_.Cancel(cancellable_[at]) ? 1 : 0;
+      cancellable_.erase(cancellable_.begin() + static_cast<std::ptrdiff_t>(at));
+    }
+    if (!held_ && rng.NextBounded(8) == 0) {
+      // Skipped work starts here; a later fire replays it.
+      held_ = true;
+      hold_start_ = sim_.now();
+      hold_seq_ = sim_.next_seq();
+      inline_fires_since_hold_ = 0;
+      sim_.HoldDispatchLog(hold_start_);
+    } else if (held_ && sim_.now() > hold_start_ && rng.NextBounded(3) == 0) {
+      CatchUp(rng);
+    }
+  }
+
+  // Replays a stretch of side events from the hold's start: those due before
+  // the current dispatch fire now, the rest are spliced into the queue at
+  // the positions the dispatch log (which holds inline fires too) gives them.
+  void CatchUp(Rng& rng) {
+    if (use_inline_ && inline_fires_since_hold_ > 0) {
+      ++catch_ups_over_inline_fires;
+    }
+    const Nanos span = sim_.now() - hold_start_ + 4;
+    std::vector<Nanos> delays;
+    for (int k = 0; k < 3; ++k) {
+      delays.push_back(static_cast<Nanos>(rng.NextBounded(static_cast<std::uint64_t>(span))));
+    }
+    sim_.CatchUp(
+        hold_start_, hold_seq_, Simulator::CatchUpUntil::kCurrentDispatch,
+        [&] {
+          for (const Nanos delay : delays) {
+            ScheduleSide(delay, /*depth=*/0);
+          }
+        },
+        [] {});
+    sim_.ReleaseDispatchLog(hold_start_);
+    held_ = false;
+  }
+
+  void ScheduleSide(Nanos delay, int depth) {
+    const int id = static_cast<int>(is_inline_.size());
+    is_inline_.push_back(false);
+    times_.push_back(sim_.now() + delay);
+    sim_.ScheduleAfter(delay, [this, id, depth] {
+      Record(id);
+      if (depth < 2) {
+        ScheduleSide(static_cast<Nanos>(id % 3), depth + 1);
+      }
+    });
+  }
+
+  std::uint64_t seed_;
+  bool use_inline_;
+  Rng driver_;
+  Simulator sim_;
+  int budget_ = 300;
+  std::vector<bool> is_inline_;  // by id
+  std::vector<Nanos> times_;     // by id: the scheduled time
+  std::vector<EventQueue::EventId> cancellable_;
+  std::vector<FireRecord> log_;
+  bool held_ = false;
+  Nanos hold_start_ = 0;
+  std::uint64_t hold_seq_ = 0;
+  int inline_fires_since_hold_ = 0;
+};
+
+TEST(InlineEventDiffTest, RandomSchedulesFireAsIfEveryEntryWereQueued) {
+  check::SetValidationForTesting(1);
+  int ties_inline_first = 0;
+  int ties_queue_first = 0;
+  int inline_from_queue = 0;
+  int queue_from_inline = 0;
+  int catch_ups = 0;
+  int cancels = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    InlineDiffSchedule lane(seed, /*use_inline=*/true);
+    InlineDiffSchedule queued(seed, /*use_inline=*/false);
+    const std::vector<FireRecord> got = lane.Run();
+    const std::vector<FireRecord> want = queued.Run();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " divergence at fire " << i;
+    }
+    EXPECT_EQ(lane.sim().now(), queued.sim().now()) << "seed " << seed;
+    EXPECT_EQ(lane.sim().events_dispatched() + lane.sim().inline_events_dispatched(),
+              queued.sim().events_dispatched())
+        << "seed " << seed;
+    EXPECT_EQ(queued.sim().inline_events_dispatched(), 0u);
+    ties_inline_first += lane.ties_inline_first;
+    ties_queue_first += lane.ties_queue_first;
+    inline_from_queue += lane.inline_from_queue;
+    queue_from_inline += lane.queue_from_inline;
+    catch_ups += lane.catch_ups_over_inline_fires;
+    cancels += lane.cancels;
+  }
+  check::SetValidationForTesting(-1);
+  // The schedules exercise what the lane has to get right.
+  EXPECT_GT(ties_inline_first, 0);
+  EXPECT_GT(ties_queue_first, 0);
+  EXPECT_GT(inline_from_queue, 0);
+  EXPECT_GT(queue_from_inline, 0);
+  EXPECT_GT(catch_ups, 0);
+  EXPECT_GT(cancels, 0);
 }
 
 // ---------------------------------------------------------------- fabric

@@ -1,6 +1,6 @@
 // bench_diff: the regression gate. Compares a candidate BENCH_*.json against
 // a checked-in golden and exits nonzero on any divergence beyond tolerance.
-// Machine-dependent keys (wall_clock_ms, jobs) are ignored at any depth, so
+// Machine-dependent keys (wall_clock_ms, cpu_ms, jobs) are ignored at any depth, so
 // goldens recorded on one host gate runs on another.
 //
 //   bench_diff [--tol=0.1] bench/golden/BENCH_fig15.json results/BENCH_fig15.json

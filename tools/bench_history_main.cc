@@ -1,18 +1,18 @@
 // bench_history: wall-clock trajectory and slowdown gate over directories of
 // BENCH_*.json snapshots (src/check/bench_history.h). Positional directories
 // are snapshots in order (oldest first); the trajectory table prints every
-// bench's recorded wall clock per snapshot.
+// bench's recorded wall clock and CPU time per snapshot.
 //
 //   bench_history results/2026-08-01 results/2026-08-05 results/today
-//   bench_history --max_slowdown=1.03 baseline1 baseline2 \
-//       --candidate=cand1 --candidate=cand2
+//   bench_history --max_slowdown=1.03 baseline1 baseline2
+//       --candidate=cand1 --candidate=cand2      (one command line)
 //
 // --candidate=DIR    repeatable: dirs holding the runs under test. Without
 //                    any, the last positional dir is the candidate and the
 //                    rest are baseline.
-// --max_slowdown=R   gate: per bench, best-of-candidate wall clock divided by
-//                    best-of-baseline above R exits 1. 0 (default) reports
-//                    the ratios without failing.
+// --max_slowdown=R   gate: per bench, best-of-candidate CPU time (cpu_ms)
+//                    divided by best-of-baseline above R exits 1. 0
+//                    (default) reports the ratios without failing.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -85,11 +85,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("%-12s %-28s %6s %7s %12s\n", "bench", "snapshot", "jobs",
-              "points", "wall ms");
+  std::printf("%-12s %-28s %6s %7s %12s %12s\n", "bench", "snapshot", "jobs",
+              "points", "wall ms", "cpu ms");
   for (const BenchRun& run : all) {
-    std::printf("%-12s %-28s %6d %7zu %12.1f\n", run.bench.c_str(),
-                run.dir.c_str(), run.jobs, run.num_points, run.wall_clock_ms);
+    std::printf("%-12s %-28s %6d %7zu %12.1f %12.1f\n", run.bench.c_str(),
+                run.dir.c_str(), run.jobs, run.num_points, run.wall_clock_ms,
+                run.cpu_ms);
   }
 
   if (baseline.empty() || candidate.empty()) {
@@ -97,8 +98,8 @@ int main(int argc, char** argv) {
   }
   const std::vector<BenchComparison> comparisons =
       deepplan::check::CompareBenchRuns(baseline, candidate, max_slowdown);
-  std::printf("\n%-12s %14s %14s %9s\n", "bench", "baseline ms",
-              "candidate ms", "ratio");
+  std::printf("\n%-12s %14s %14s %9s\n", "bench", "base cpu ms",
+              "cand cpu ms", "ratio");
   int regressions = 0;
   for (const BenchComparison& cmp : comparisons) {
     if (cmp.baseline_best_ms < 0.0 || cmp.candidate_best_ms < 0.0) {
