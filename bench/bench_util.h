@@ -280,8 +280,7 @@ class BenchOutputs {
 
   bool WriteJournal(const CausalGraph& graph) const {
     std::string error;
-    const bool ok =
-        WriteGraphToJournal(graph, path(kProfile), {}, nullptr, &error);
+    const bool ok = WriteGraphToJournal(graph, path(kProfile), {}, &error);
     return Logged(ok, "profile journal", path(kProfile), error);
   }
 
@@ -320,7 +319,7 @@ class BenchOutputs {
   static constexpr Spec kSpecs[] = {
       {kTrace, "trace_out", "DEEPPLAN_TRACE",
        "write a Chrome/Perfetto trace JSON here (default: $DEEPPLAN_TRACE; "
-       "empty disables telemetry)"},
+       "empty disables tracing and the BENCH metrics snapshot)"},
       {kProfile, "profile_out", "DEEPPLAN_PROFILE",
        "write the binary causal journal here (default: $DEEPPLAN_PROFILE; "
        "empty disables profiling)"},

@@ -11,9 +11,10 @@
 // fans out over DEEPPLAN_JOBS threads; tables aggregate in point order and
 // are byte-identical for any thread count. With --trace_out=<path> (default:
 // $DEEPPLAN_TRACE), the three loose-SLO points at concurrency 140 — the knee
-// of the figure — record causal graphs and metrics; the graphs stitch into
-// one, the Chrome trace is derived from it and the points' request records
-// (src/serving/serving_trace.h), and their metrics snapshots land in the
+// of the figure — record causal graphs, and their servers write a
+// MetricsRegistry once per retired request; the graphs stitch into one, the
+// Chrome trace is derived from it and the points' request records
+// (src/serving/serving_trace.h), and the registry snapshots land in the
 // matching BENCH points. With --profile_out=<path> (default:
 // $DEEPPLAN_PROFILE) the same knee points record causal journals; the
 // stitched journal is written to <path> as a binary DPJL journal and the

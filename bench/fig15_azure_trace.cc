@@ -12,10 +12,11 @@
 // servers, so they fan out over DEEPPLAN_JOBS threads; output renders in
 // strategy order and is byte-identical for any thread count. With
 // --trace_out=<path> (default: $DEEPPLAN_TRACE), each replay records its own
-// causal graph and MetricsRegistry; the graphs are stitched in strategy
-// order, one Perfetto-loadable Chrome trace is derived from them and the
-// replays' request records (src/serving/serving_trace.h), and each
-// strategy's metrics snapshot lands in its BENCH point. With
+// causal graph, and its server writes a MetricsRegistry once per retired
+// request; the graphs are stitched in strategy order, one Perfetto-loadable
+// Chrome trace is derived from them and the replays' request records
+// (src/serving/serving_trace.h), and each strategy's registry snapshot lands
+// in its BENCH point. With
 // --profile_out=<path> (default: $DEEPPLAN_PROFILE) each replay records a
 // causal journal; the stitched journal is written to <path> in the chunked
 // binary DPJL format

@@ -113,9 +113,8 @@ inline ScalingPointResult RunScalingPoint(const ScalingPointOptions& options) {
     const bool journal = !options.journal_out.empty();
     CausalGraph causal(journal);
     JournalWriter writer;
-    MetricsRegistry journal_metrics;
     if (journal) {
-      const bool opened = writer.Open(options.journal_out, {}, &journal_metrics);
+      const bool opened = writer.Open(options.journal_out);
       DP_CHECK(opened);
       causal.AttachSink(&writer);
       server.set_causal(&causal, causal.RegisterProcess("scaling"));

@@ -137,10 +137,6 @@ struct ColdTemplate {
   ColdRunOptions options;  // causal fields cleared
   InferenceResult result;
   Nanos fabric_end = -1;  // -1: the run issues no transfer
-  // The fabric's registry counters for the run, credited when a registry
-  // is attached and the run completes without a catch-up.
-  std::int64_t fabric_transfers = 0;
-  std::int64_t fabric_bytes = 0;
   // Built on the first run of this key that records causal nodes.
   std::unique_ptr<NodeScript> script;
 };
@@ -381,8 +377,6 @@ void Engine::RunIsolated(ColdTemplate& tmpl, bool scripted) {
   const selfprof::SuspendLane suspend;
   Simulator sim;
   ServerFabric fabric(&sim, &fabric_->topology());
-  MetricsRegistry registry;
-  fabric.fabric().set_telemetry(&registry);
   Engine engine(&sim, &fabric, perf_);
   engine.fast_forward_ = false;
   // A scripted run records into a private graph from time 0 as request 0,
@@ -404,8 +398,6 @@ void Engine::RunIsolated(ColdTemplate& tmpl, bool scripted) {
   sim.Run();
   DP_CHECK(finished);
   tmpl.fabric_end = fabric.fabric().last_departure();
-  tmpl.fabric_transfers = registry.counter("fabric.transfers");
-  tmpl.fabric_bytes = registry.counter("fabric.bytes");
   if (!scripted) {
     return;
   }
@@ -508,7 +500,6 @@ void Engine::FinishFastForward(FastForwardRun* ff) {
     Materialize(ff, CatchUpCause::kCompletionTie);
     return;
   }
-  CreditFabricCounters(*ff->tmpl);
   InferenceResult result = ff->tmpl->result;
   if (ff->causal_request >= 0) {
     // Everything the run records is due by now: it goes out in time order
@@ -525,14 +516,6 @@ void Engine::FinishFastForward(FastForwardRun* ff) {
   sim_->ReleaseDispatchLog(ff->start);
   scratch_->fast_forwards.Release(ff);
   done(result);
-}
-
-void Engine::CreditFabricCounters(const ColdTemplate& tmpl) {
-  MetricsRegistry* registry = fabric_->fabric().registry();
-  if (registry != nullptr && tmpl.fabric_transfers > 0) {
-    registry->AddCounter("fabric.transfers", tmpl.fabric_transfers);
-    registry->AddCounter("fabric.bytes", tmpl.fabric_bytes);
-  }
 }
 
 void Engine::EmitScripts(const FastForwardRun* finishing) {
@@ -615,7 +598,6 @@ void Engine::Materialize(FastForwardRun* ff, CatchUpCause cause) {
     fabric.ReleaseReservation();  // ours, open or expired (or none)
   }
   if (!on_real_fabric) {
-    CreditFabricCounters(tmpl);
     if (scratch_->replay_fabric == nullptr) {
       scratch_->replay_fabric =
           std::make_unique<ServerFabric>(sim_, &fabric_->topology());
@@ -743,6 +725,7 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
     run->all_loaded.Fire();
   }
   run->pending_transfers = 0;
+  run->result.fabric_bytes = 0;
   for (std::size_t p = 0; p < parts; ++p) {
     const int items = static_cast<int>(run->part_items[p].size());
     run->pending_transfers += items;
@@ -750,7 +733,12 @@ void Engine::StartCold(const Model& model, const ExecutionPlan& plan,
       run->pending_transfers +=
           options.migration == MigrationMode::kPipelined ? items : 1;
     }
+    // Partitions above 0 ship their bytes twice: PCIe to a secondary GPU,
+    // then NVLink to the primary.
+    run->result.fabric_bytes +=
+        (p > 0 ? 2 : 1) * run->result.partitions[p].bytes;
   }
+  run->result.fabric_transfers = run->pending_transfers;
   if (run->pending_transfers > 0) {
     ++fabric_runs_;
   }

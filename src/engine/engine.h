@@ -79,6 +79,12 @@ struct InferenceResult {
   // attached and ColdRunOptions.causal_request was set); the caller passes it
   // to CausalGraph::EndRequest as the request's terminal node.
   CpNodeId causal_terminal = -1;
+  // The run's fabric traffic: transfers issued and bytes moved (PCIe loads
+  // plus NVLink migrations). Set by Engine cold runs before their first
+  // transfer, so a fast-forwarded run reports what its transfers would have
+  // moved; 0 for warm runs.
+  std::int64_t fabric_transfers = 0;
+  std::int64_t fabric_bytes = 0;
 };
 
 struct ColdRunOptions {
@@ -206,9 +212,6 @@ class Engine {
   void FastForward(const ColdTemplate& tmpl, const ColdRunOptions& options,
                    std::function<void(InferenceResult)> done);
   void FinishFastForward(FastForwardRun* ff);
-  // Adds a run's transfers to the fabric's registry, if one is attached, for
-  // runs whose transfers never went through the real fabric.
-  void CreditFabricCounters(const ColdTemplate& tmpl);
   // Replays a fast-forwarded run event by event up to the current instant
   // (for kCompletionTie: up to just before it) and leaves it running event
   // by event from there. The replay runs on a private fabric once the run's

@@ -149,8 +149,7 @@ JournalWriter::~JournalWriter() {
 }
 
 bool JournalWriter::Open(const std::string& path,
-                         const JournalWriterOptions& options,
-                         MetricsRegistry* metrics) {
+                         const JournalWriterOptions& options) {
   MutexLock lock(mu_);
   DP_CHECK(!open_);
   DP_CHECK(options.chunk_requests > 0 && options.chunk_bytes > 0);
@@ -161,15 +160,10 @@ bool JournalWriter::Open(const std::string& path,
     return false;
   }
   options_ = options;
-  metrics_ = metrics;
   std::string header(kJournalMagic, sizeof(kJournalMagic));
   AppendU32Le(&header, kJournalVersion);
   out_.write(header.data(), static_cast<std::streamsize>(header.size()));
   bytes_written_ = header.size();
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("journal.bytes",
-                         static_cast<std::int64_t>(header.size()));
-  }
   open_ = true;
   return static_cast<bool>(out_);
 }
@@ -282,12 +276,7 @@ void JournalWriter::WriteFrame(std::uint8_t marker, const std::string& payload) 
   AppendU32Le(&head, Crc32(payload));
   out_.write(head.data(), static_cast<std::streamsize>(head.size()));
   out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  const std::uint64_t frame_bytes = head.size() + payload.size();
-  bytes_written_ += frame_bytes;
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("journal.bytes",
-                         static_cast<std::int64_t>(frame_bytes));
-  }
+  bytes_written_ += head.size() + payload.size();
   if (!out_) {
     ok_ = false;
     error_ = "journal write failed (disk full or file closed?)";
@@ -319,19 +308,6 @@ void JournalWriter::FlushChunk() {
   totals_.incomplete_requests += chunk_incomplete_;
   totals_.nodes += chunk_nodes_;
   totals_.edges += chunk_edges_;
-  if (metrics_ != nullptr) {
-    metrics_->AddCounter("journal.chunks");
-    metrics_->AddCounter("journal.requests",
-                         static_cast<std::int64_t>(chunk_requests_));
-    if (chunk_incomplete_ > 0) {
-      metrics_->AddCounter("journal.incomplete_requests",
-                           static_cast<std::int64_t>(chunk_incomplete_));
-    }
-    metrics_->AddCounter("journal.nodes",
-                         static_cast<std::int64_t>(chunk_nodes_));
-    metrics_->AddCounter("journal.edges",
-                         static_cast<std::int64_t>(chunk_edges_));
-  }
 
   pending_processes_.clear();
   strings_.clear();
@@ -933,7 +909,7 @@ bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
 
 bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
                          const JournalWriterOptions& options,
-                         MetricsRegistry* metrics, std::string* error) {
+                         std::string* error) {
   std::string local_error;
   if (error == nullptr) {
     error = &local_error;
@@ -966,7 +942,7 @@ bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
         CpEdgeRec{static_cast<std::int64_t>(seq), from, to});
   }
   JournalWriter writer;
-  if (!writer.Open(path, options, metrics)) {
+  if (!writer.Open(path, options)) {
     *error = writer.error();
     return false;
   }

@@ -46,7 +46,6 @@
 
 #include "src/check/trace_lint.h"
 #include "src/obs/causal_graph.h"
-#include "src/obs/metrics_registry.h"
 #include "src/util/thread_annotations.h"
 
 namespace deepplan {
@@ -89,11 +88,7 @@ struct JournalWriterOptions {
 };
 
 // Streaming writer; plugs into a streaming CausalGraph as its CausalSink.
-// When a MetricsRegistry is attached, each flushed chunk bumps the
-// journal.requests / journal.incomplete_requests / journal.nodes /
-// journal.edges / journal.chunks / journal.bytes counters; with no registry
-// (and on the disabled-graph path, which never calls the sink) the writer
-// touches no metrics at all.
+// totals() and bytes_written() report what it has flushed so far.
 //
 // Internally synchronized: the writer is the retirement hand-off point, so
 // every mutable field sits behind mu_ (GUARDED_BY, compile-checked). What the
@@ -103,8 +98,7 @@ struct JournalWriterOptions {
 // (or FlushOpenRequests' id-ordered sweep). The status accessors return by
 // value for the same reason: a reference into guarded state would escape the
 // lock. Lock order: this is a leaf for the graph (graph's stream mutex is
-// held across OnRequestRetired) but acquires the registry's internal lock via
-// the journal.* counters — so registry < writer < graph, never cyclic.
+// held across OnRequestRetired), so writer < graph, never cyclic.
 class JournalWriter : public CausalSink {
  public:
   JournalWriter() = default;
@@ -112,8 +106,8 @@ class JournalWriter : public CausalSink {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  bool Open(const std::string& path, const JournalWriterOptions& options = {},
-            MetricsRegistry* metrics = nullptr) EXCLUDES(mu_);
+  bool Open(const std::string& path, const JournalWriterOptions& options = {})
+      EXCLUDES(mu_);
 
   void OnProcess(int id, const std::string& name) override EXCLUDES(mu_);
   void OnRequestRetired(CpRequestRecord&& record) override EXCLUDES(mu_);
@@ -153,7 +147,6 @@ class JournalWriter : public CausalSink {
   bool ok_ GUARDED_BY(mu_) = true;
   std::string error_ GUARDED_BY(mu_);
   JournalWriterOptions options_ GUARDED_BY(mu_);
-  MetricsRegistry* metrics_ GUARDED_BY(mu_) = nullptr;
   JournalTotals totals_ GUARDED_BY(mu_);
   std::uint64_t bytes_written_ GUARDED_BY(mu_) = 0;
   // Current-chunk state, reset at every flush.
@@ -243,7 +236,6 @@ bool ReadJournalToGraph(const std::string& path, CausalGraph* out,
 // represent them; no recorder produces them).
 bool WriteGraphToJournal(const CausalGraph& graph, const std::string& path,
                          const JournalWriterOptions& options = {},
-                         MetricsRegistry* metrics = nullptr,
                          std::string* error = nullptr);
 
 // --- lint (trace_lint --journal) ---

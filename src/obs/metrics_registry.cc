@@ -8,13 +8,11 @@ namespace deepplan {
 
 MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept
     : counters_(std::move(other.counters_)),
-      gauges_(std::move(other.gauges_)),
       histograms_(std::move(other.histograms_)) {}
 
 MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
   if (this != &other) {
     counters_ = std::move(other.counters_);
-    gauges_ = std::move(other.gauges_);
     histograms_ = std::move(other.histograms_);
   }
   return *this;
@@ -29,17 +27,6 @@ std::int64_t MetricsRegistry::counter(const std::string& name) const {
   MutexLock lock(mu_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
-}
-
-void MetricsRegistry::SetGauge(const std::string& name, double value) {
-  MutexLock lock(mu_);
-  gauges_[name] = value;
-}
-
-double MetricsRegistry::gauge(const std::string& name) const {
-  MutexLock lock(mu_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
 }
 
 void MetricsRegistry::Observe(const std::string& name, double sample) {
@@ -81,13 +68,6 @@ JsonObject MetricsRegistry::Snapshot() const {
       counters.Set(name, value);
     }
     doc.SetRaw("counters", counters.Render());
-  }
-  if (!gauges_.empty()) {
-    JsonObject gauges;
-    for (const auto& [name, value] : gauges_) {
-      gauges.Set(name, value);
-    }
-    doc.SetRaw("gauges", gauges.Render());
   }
   if (!histograms_.empty()) {
     JsonObject histograms;

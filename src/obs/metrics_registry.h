@@ -1,25 +1,20 @@
-// Named metrics for a simulation run: monotonic counters, last-value gauges,
-// and sample histograms, with deterministic JSON snapshot export. Components
-// (fabric, server, cluster) hold a `MetricsRegistry*` that is nullptr when
-// telemetry is off; when attached, one registry accumulates a whole run and
-// its snapshot lands in the bench's BENCH_<name>.json report.
+// Named metrics for a simulation run: monotonic counters and sample
+// histograms, with deterministic JSON snapshot export. One writer fills it:
+// the server, once per retired request (Server::set_telemetry), so the
+// registry is a summary of the per-request records and holds nothing they do
+// not. Its snapshot lands in the bench's BENCH_<name>.json report.
 //
 // Naming convention: dotted lowercase paths, component first —
-//   fabric.transfers, fabric.bytes,
 //   server.requests, server.cold_starts, server.warm_hits, server.evictions,
-//   server.queue_depth.gpu<g>, server.latency_ms (histogram),
-//   cluster.routed.server<k>.
+//   server.latency_ms (histogram),
+//   fabric.transfers, fabric.bytes (the retired cold starts' transfers).
 //
 // Export order is the sorted metric name, so identical runs render to
 // identical bytes regardless of the order metrics were first touched.
 //
-// Internally synchronized (GUARDED_BY mu_): the registry can be shared across
-// threads — e.g. a JournalWriter bumping journal.* counters from whichever
-// thread retires a request — *without* breaking determinism, because every
-// mutation is commutative (counter adds, gauge last-write per distinct name,
-// histogram sample multiset) and the export is sorted. The one caveat is
-// gauges: concurrent SetGauge on the *same* name is last-write-wins and so
-// timing-dependent; writers of a given gauge name must stay single-threaded.
+// Internally synchronized (GUARDED_BY mu_): every mutation is commutative
+// (counter adds, histogram sample multiset) and the export is sorted, so a
+// registry shared across threads stays deterministic.
 #ifndef SRC_OBS_METRICS_REGISTRY_H_
 #define SRC_OBS_METRICS_REGISTRY_H_
 
@@ -54,18 +49,15 @@ class MetricsRegistry {
   // 0 when the counter was never touched.
   std::int64_t counter(const std::string& name) const EXCLUDES(mu_);
 
-  void SetGauge(const std::string& name, double value) EXCLUDES(mu_);
-  double gauge(const std::string& name) const EXCLUDES(mu_);
-
   void Observe(const std::string& name, double sample) EXCLUDES(mu_);
   HistogramSummary histogram(const std::string& name) const EXCLUDES(mu_);
 
   bool empty() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
+    return counters_.empty() && histograms_.empty();
   }
 
-  // {"counters":{...},"gauges":{...},"histograms":{name:{count,mean,min,max,
+  // {"counters":{...},"histograms":{name:{count,mean,min,max,
   // p50,p95,p99}}} with sorted keys; empty sections are omitted.
   JsonObject Snapshot() const EXCLUDES(mu_);
   JsonObject ToJsonObject() const { return Snapshot(); }  // legacy name
@@ -79,7 +71,6 @@ class MetricsRegistry {
 
   mutable Mutex mu_;
   std::map<std::string, std::int64_t> counters_ GUARDED_BY(mu_);
-  std::map<std::string, double> gauges_ GUARDED_BY(mu_);
   std::map<std::string, Percentiles> histograms_ GUARDED_BY(mu_);
 };
 

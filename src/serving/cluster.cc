@@ -25,8 +25,6 @@ struct Cluster::Impl {
   int num_gpus_per_server = 0;
   int rr_cursor = 0;
 
-  MetricsRegistry* registry = nullptr;
-
   int Route(int instance) {
     switch (options.routing) {
       case RoutingPolicy::kRoundRobin: {
@@ -105,13 +103,6 @@ const Server& Cluster::server(int index) const {
   return *impl_->servers[Idx(index)];
 }
 
-void Cluster::EnableTelemetry(MetricsRegistry* registry) {
-  impl_->registry = registry;
-  for (auto& server : impl_->servers) {
-    server->set_telemetry(registry);
-  }
-}
-
 void Cluster::set_causal(const std::vector<CausalGraph*>& graphs) {
   Impl& c = *impl_;
   DP_CHECK(graphs.size() == c.servers.size());
@@ -143,11 +134,7 @@ ServingMetrics Cluster::Run(const Trace& trace) {
     // Captures fit std::function's local buffer: no allocation per arrival.
     c.sim.ScheduleAt(a.time, [this, instance = a.instance]() {
       Impl& impl = *impl_;
-      const int target = impl.Route(instance);
-      if (impl.registry != nullptr) {
-        impl.registry->AddCounter("cluster.routed.server" + std::to_string(target));
-      }
-      impl.servers[Idx(target)]->Submit(instance);
+      impl.servers[Idx(impl.Route(instance))]->Submit(instance);
     });
   }
   c.sim.Run();

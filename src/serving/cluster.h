@@ -54,11 +54,6 @@ class Cluster {
 
   const Server& server(int index) const;
 
-  // Attaches a metrics registry (nullptr detaches) before Run(): every
-  // back-end gets the full server instrumentation, and every routing
-  // decision bumps a cluster.routed.server<i> counter.
-  void EnableTelemetry(MetricsRegistry* registry);
-
   // Attaches one causal graph per back-end before Run(): graphs[i] records
   // server(i) as its process "server<i>" (a graph takes one engine, so the
   // back-ends cannot share one). ClusterTrace (src/serving/serving_trace.h)

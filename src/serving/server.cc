@@ -115,10 +115,11 @@ struct Server::Impl final : InlineEventHandler {
   void Dispatch(GpuId gpu);
   // The warm completion on GPU `gpu` (an inline event).
   void OnInlineEvent(int gpu) override;
-  void FinishRequest(GpuId gpu, int instance, const PendingRequest& req, Nanos start,
-                     bool cold, Nanos evict_delay, Nanos load_done, int num_evicted,
-                     CpNodeId causal_terminal = -1);
-  void NoteQueueDepth(GpuId gpu);
+  // Retires a request: its record, its telemetry counters and its causal
+  // terminal. `cold` is the cold run's result, nullptr for a warm request.
+  void FinishRequest(GpuId gpu, const PendingRequest& req, Nanos start,
+                     const InferenceResult* cold, Nanos evict_delay,
+                     int num_evicted);
 };
 
 Server::Server(const Topology& topology, const PerfModel& perf, ServerOptions options)
@@ -181,17 +182,10 @@ int Server::num_instances() const { return impl_->instances->num_instances(); }
 
 int Server::WarmCapacity() const { return impl_->instances->ResidentCount(); }
 
-void Server::Impl::NoteQueueDepth(GpuId gpu) {
-  if (registry != nullptr) {
-    registry->SetGauge("server.queue_depth.gpu" + std::to_string(gpu),
-                       static_cast<double>(queues[Idx(gpu)].size()));
-  }
-}
-
-void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& req,
-                                 Nanos start, bool cold, Nanos evict_delay,
-                                 Nanos load_done, int num_evicted,
-                                 CpNodeId causal_terminal) {
+void Server::Impl::FinishRequest(GpuId gpu, const PendingRequest& req,
+                                 Nanos start, const InferenceResult* cold,
+                                 Nanos evict_delay, int num_evicted) {
+  const int instance = req.instance;
   instances->SetBusy(instance, false);
   instances->MarkUsed(instance, sim->now());
   RequestRecord record;
@@ -200,18 +194,30 @@ void Server::Impl::FinishRequest(GpuId gpu, int instance, const PendingRequest& 
   record.completion = sim->now();
   record.instance = instance;
   record.gpu = gpu;
-  record.cold = cold;
+  record.cold = cold != nullptr;
   record.evict = evict_delay;
-  record.load = load_done;
+  record.load = cold != nullptr ? cold->load_done : 0;
   record.evictions = num_evicted;
   metrics.Record(record);
   ++retired;
   if (registry != nullptr) {
+    registry->AddCounter("server.requests");
+    if (cold != nullptr) {
+      registry->AddCounter("server.cold_starts");
+      registry->AddCounter("server.evictions", num_evicted);
+      // A run without transfers adds no key, as no transfer started.
+      if (cold->fabric_transfers > 0) {
+        registry->AddCounter("fabric.transfers", cold->fabric_transfers);
+        registry->AddCounter("fabric.bytes", cold->fabric_bytes);
+      }
+    } else {
+      registry->AddCounter("server.warm_hits");
+    }
     registry->Observe("server.latency_ms", ToMillis(record.Latency()));
   }
   if (causal != nullptr && req.causal >= 0) {
-    CpNodeId terminal = causal_terminal;
-    if (!cold) {
+    CpNodeId terminal = cold != nullptr ? cold->causal_terminal : -1;
+    if (cold == nullptr) {
       // Warm requests never enter the engine's cold path; their whole DAG is
       // arrival -> one exec node.
       terminal = causal->AddNode(req.causal, CpKind::kExec,
@@ -238,8 +244,8 @@ void Server::Impl::OnInlineEvent(int gpu) {
   // Copied out: finishing dispatches the GPU's next request, which may
   // overwrite the slot.
   const WarmRun run = warm_runs[Idx(gpu)];
-  FinishRequest(gpu, run.req.instance, run.req, run.start, /*cold=*/false,
-                /*evict_delay=*/0, /*load_done=*/0, /*num_evicted=*/0);
+  FinishRequest(gpu, run.req, run.start, /*cold=*/nullptr, /*evict_delay=*/0,
+                /*num_evicted=*/0);
 }
 
 void Server::Impl::Dispatch(GpuId gpu) {
@@ -249,7 +255,6 @@ void Server::Impl::Dispatch(GpuId gpu) {
   const PendingRequest req = queues[Idx(gpu)].front();
   queues[Idx(gpu)].pop_front();
   gpu_busy[Idx(gpu)] = true;
-  NoteQueueDepth(gpu);
 
   const int instance = req.instance;
   const int type = instance_model[Idx(instance)];
@@ -259,9 +264,6 @@ void Server::Impl::Dispatch(GpuId gpu) {
 
   if (instances->instance(instance).resident) {
     instances->MarkUsed(instance, start);
-    if (registry != nullptr) {
-      registry->AddCounter("server.warm_hits");
-    }
     warm_runs[Idx(gpu)] = {req, start};
     sim->ScheduleInlineAfter(entry.warm_duration, this, gpu);
     return;
@@ -273,10 +275,6 @@ void Server::Impl::Dispatch(GpuId gpu) {
   const bool fits = instances->MakeResident(instance, start, &evicted);
   DP_CHECK(fits && "instance footprint exceeds GPU capacity");
   const int num_evicted = static_cast<int>(evicted.size());
-  if (registry != nullptr) {
-    registry->AddCounter("server.cold_starts");
-    registry->AddCounter("server.evictions", num_evicted);
-  }
   const Nanos evict_delay =
       options.eviction_cost * static_cast<Nanos>(evicted.size());
   CpNodeId causal_root = -1;
@@ -294,8 +292,8 @@ void Server::Impl::Dispatch(GpuId gpu) {
       causal_root = evict_node;
     }
   }
-  sim->ScheduleAfter(evict_delay, [this, gpu, instance, req, start, type,
-                                   evict_delay, num_evicted, causal_root]() {
+  sim->ScheduleAfter(evict_delay, [this, gpu, req, start, type, evict_delay,
+                                   num_evicted, causal_root]() {
     const ModelEntry& cold_entry = models[Idx(type)];
     std::vector<GpuId> secondaries;
     if (cold_entry.plan.num_partitions() > 1) {
@@ -308,11 +306,10 @@ void Server::Impl::Dispatch(GpuId gpu) {
     cold_options.causal_root = causal_root;
     engine->RunCold(cold_entry.model, cold_entry.plan, gpu, secondaries,
                     cold_options,
-                    [this, gpu, instance, req, start, evict_delay,
+                    [this, gpu, req, start, evict_delay,
                      num_evicted](const InferenceResult& result) {
-                      FinishRequest(gpu, instance, req, start, /*cold=*/true,
-                                    evict_delay, result.load_done, num_evicted,
-                                    result.causal_terminal);
+                      FinishRequest(gpu, req, start, &result, evict_delay,
+                                    num_evicted);
                     });
   });
 }
@@ -359,16 +356,11 @@ void Server::Submit(int instance) {
   }
   s.queues[Idx(gpu)].push_back(
       PendingRequest{instance, s.sim->now(), causal_request});
-  if (s.registry != nullptr) {
-    s.registry->AddCounter("server.requests");
-  }
-  s.NoteQueueDepth(gpu);
   s.Dispatch(gpu);
 }
 
 void Server::set_telemetry(MetricsRegistry* registry) {
   impl_->registry = registry;
-  impl_->fabric->fabric().set_telemetry(registry);
 }
 
 void Server::set_causal(CausalGraph* graph, int process) {

@@ -91,11 +91,13 @@ class Server {
   // Requests queued or executing right now (for least-outstanding routing).
   int OutstandingRequests() const;
 
-  // Attaches a metrics registry (nullptr detaches) and forwards it to the
-  // fabric; call before Warmup()/Run(). While attached: counters
-  // server.requests, server.cold_starts, server.warm_hits, server.evictions,
-  // server.queue_depth.gpu<g> gauges and a server.latency_ms histogram.
-  // Detached cost: one null test per hook. Traces are derived after the run
+  // Attaches a metrics registry (nullptr detaches); call before
+  // Warmup()/Run(). While attached, each retired request adds to the
+  // counters server.requests, server.cold_starts or server.warm_hits, and
+  // server.evictions, and to the server.latency_ms histogram; a retired cold
+  // start that issued transfers also adds its fabric.transfers and
+  // fabric.bytes. Nothing else writes the registry. Detached cost: one null
+  // test per retired request. Traces are derived after the run
   // (src/serving/serving_trace.h).
   void set_telemetry(MetricsRegistry* registry);
   // The two-argument form callers such as perfbench/ use; its first slot

@@ -1,7 +1,7 @@
 // Calendar queue of timestamped callbacks with a deterministic tiebreak
 // (insertion sequence), so equal-time events fire in schedule order — the
 // same pop order, bit for bit, as the original binary-heap backend (kept as
-// ReferenceEventQueue and enforced by tests/eventqueue_diff_test.cc).
+// tests/reference_event_queue.h and enforced by tests/eventqueue_diff_test.cc).
 //
 // Design (DESIGN.md §12): time is divided into fixed-width epochs hashed
 // into a power-of-two ring of buckets. Pops serve one epoch at a time from a

@@ -47,10 +47,6 @@ TransferId Fabric::Start(std::vector<LinkId> path, std::int64_t bytes, Nanos lat
     on_join();
   }
   const TransferId id = next_id_++;
-  if (registry_ != nullptr) {
-    registry_->AddCounter("fabric.transfers");
-    registry_->AddCounter("fabric.bytes", bytes);
-  }
   if (counter_sink_) {
     // Cumulative byte track: the "cum/" namespace promises monotone samples,
     // which the offline trace linter re-checks.

@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "src/obs/metrics_registry.h"
 #include "src/sim/simulator.h"
 #include "src/util/time.h"
 
@@ -55,10 +54,6 @@ class Fabric {
   Nanos SoloDuration(const std::vector<LinkId>& path, std::int64_t bytes,
                      Nanos latency) const;
 
-  // Counts transfers and bytes into `registry` ("fabric.transfers",
-  // "fabric.bytes"); nullptr detaches. Disabled cost: one null test.
-  void set_telemetry(MetricsRegistry* registry) { registry_ = registry; }
-
   // Receives the fabric's counter samples (track, series, time, value): on
   // every transfer start the running byte total ("cum/fabric.bytes",
   // "bytes"), and on every progressive-filling rate change one sample per
@@ -90,7 +85,6 @@ class Fabric {
   void FollowSplicedCompletionEvents();
   // Time the most recent transfer drained off its links (-1 before any).
   Nanos last_departure() const { return last_departure_; }
-  MetricsRegistry* registry() const { return registry_; }
 
   // Test hook: disables the incremental (component-local) fair-share solve
   // and re-solves every active transfer on each change, as the original
@@ -169,7 +163,6 @@ class Fabric {
   std::vector<char> frozen_;        // per subset position
   std::vector<double> shadow_rates_;  // full re-solve result (validation)
 
-  MetricsRegistry* registry_ = nullptr;
   CounterSink counter_sink_;
   std::vector<double> last_emitted_;  // last counter sample per link
   std::int64_t cumulative_bytes_ = 0;  // cum/fabric.bytes counter track

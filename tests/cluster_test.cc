@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -117,15 +118,13 @@ TEST(ClusterTest, RoutingPolicyNames) {
                "LeastOutstanding");
 }
 
-TEST(ClusterTest, TelemetryRecordsEveryRoutingDecision) {
+TEST(ClusterTest, TraceRecordsEveryRoutingDecision) {
   const Topology topology = Topology::P3_8xlarge();
   const PerfModel perf(topology.gpu(), topology.pcie());
   Cluster cluster(topology, perf, BaseOptions(RoutingPolicy::kRoundRobin, 2));
   const int type = cluster.RegisterModelType(ModelZoo::BertBase());
   cluster.AddInstances(type, 40);
 
-  MetricsRegistry registry;
-  cluster.EnableTelemetry(&registry);
   std::vector<CausalGraph> graphs(2);
   cluster.set_causal({&graphs[0], &graphs[1]});
 
@@ -134,25 +133,23 @@ TEST(ClusterTest, TelemetryRecordsEveryRoutingDecision) {
   EXPECT_EQ(m.count(), trace.size());
   const TraceDocument doc = ClusterTrace(cluster, std::move(graphs));
 
-  // One instant event on the router track per request.
+  // One instant event on the router track per request, named
+  // "i<instance>->s<back-end>": per back-end they count the requests that
+  // back-end served.
+  std::vector<std::size_t> routed(static_cast<std::size_t>(cluster.num_servers()));
   std::size_t instants = 0;
   for (const TraceEvent& e : doc.events) {
     if (e.phase == TracePhase::kInstant && e.track == "router") {
       ++instants;
+      const std::size_t arrow = e.name.find("->s");
+      ASSERT_NE(arrow, std::string::npos) << e.name;
+      ++routed.at(static_cast<std::size_t>(std::stoi(e.name.substr(arrow + 3))));
     }
   }
   EXPECT_EQ(instants, trace.size());
-
-  // Per-back-end routed counters sum to the request count and match where
-  // the requests actually landed.
-  std::int64_t routed = 0;
   for (int s = 0; s < cluster.num_servers(); ++s) {
-    const std::int64_t n =
-        registry.counter("cluster.routed.server" + std::to_string(s));
-    EXPECT_EQ(n, static_cast<std::int64_t>(cluster.server(s).metrics().count()));
-    routed += n;
+    EXPECT_EQ(routed[static_cast<std::size_t>(s)], cluster.server(s).metrics().count());
   }
-  EXPECT_EQ(routed, static_cast<std::int64_t>(trace.size()));
 
   // Router plus one process per back-end, all named in the export.
   EXPECT_EQ(doc.process_names.size(),

@@ -12,7 +12,7 @@
 
 #include "src/check/validator.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/reference_event_queue.h"
+#include "tests/reference_event_queue.h"
 #include "src/util/time.h"
 #include "tests/eventqueue_schedules.h"
 

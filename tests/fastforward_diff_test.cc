@@ -3,20 +3,24 @@
 // event by event (Engine::set_fast_forward_for_testing(false)), and both runs
 // must produce identical results, completion times and completion order.
 // Randomized serving configs cover rate, instance count, model mix, eviction
-// cost and strategy, including contention-dense ones, and half of them count
-// fabric traffic in a metrics registry; randomized engine
-// schedules cover bulk vs pipelined migration and transmission groups; the
-// directed cases pin the join and tie shapes the catch-up must get right.
+// cost and strategy, including contention-dense ones, and every serving run
+// fills a metrics registry whose whole snapshot is compared; randomized
+// engine schedules cover bulk vs pipelined migration and transmission groups,
+// and check the fabric traffic each cold run reports against the transfers
+// the event-by-event fabric started; the directed cases pin the join and tie
+// shapes the catch-up must get right.
 // Runs that record a causal journal are fast-forwarded too, so the recorded
 // variants also compare the streamed journal files and the accumulated
 // graph's JSON export byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/check/validator.h"
@@ -140,9 +144,7 @@ struct ServingRun {
   std::vector<RequestRecord> records;
   std::string journal;  // empty unless recorded
   std::string trace;    // the derived Chrome trace (accumulated graphs only)
-  // Fabric registry counters (attached on odd seeds; 0 otherwise).
-  std::int64_t fabric_transfers = 0;
-  std::int64_t fabric_bytes = 0;
+  std::string metrics;  // the metrics registry's JSON snapshot
   FastForwardCounts counts;
 };
 
@@ -162,9 +164,7 @@ ServingRun RunServing(const ServingConfig& c, bool fast_forward,
     server.set_causal(capture.graph(), capture.graph()->RegisterProcess("serve"));
   }
   MetricsRegistry registry;
-  if (c.seed % 2 == 1) {
-    server.set_telemetry(&registry);
-  }
+  server.set_telemetry(&registry);
   for (const Model& model : c.models) {
     server.AddInstances(server.RegisterModelType(model), c.instances_per_model);
   }
@@ -178,8 +178,7 @@ ServingRun RunServing(const ServingConfig& c, bool fast_forward,
   ServingMetrics metrics;
   run.counts = CountFastForwards([&]() { metrics = server.Run(trace); });
   run.records = metrics.records();
-  run.fabric_transfers = registry.counter("fabric.transfers");
-  run.fabric_bytes = registry.counter("fabric.bytes");
+  run.metrics = registry.ToJson();
   run.journal = capture.Finish();
   if (journal == Journal::kGraph) {
     run.trace =
@@ -190,8 +189,7 @@ ServingRun RunServing(const ServingConfig& c, bool fast_forward,
 
 void ExpectSameRun(const ServingRun& fast, const ServingRun& slow,
                    const std::string& what) {
-  EXPECT_EQ(fast.fabric_transfers, slow.fabric_transfers) << what;
-  EXPECT_EQ(fast.fabric_bytes, slow.fabric_bytes) << what;
+  EXPECT_EQ(fast.metrics, slow.metrics) << what;
   EXPECT_EQ(slow.counts.hits, 0u) << what;
   EXPECT_TRUE(fast.journal == slow.journal) << what << ": journals differ";
   EXPECT_TRUE(fast.trace == slow.trace) << what << ": derived traces differ";
@@ -245,6 +243,11 @@ TEST(FastForwardServingDiffTest, RandomConfigsMatchEventByEvent) {
     const ServingConfig c = RandomServingConfig(seed);
     const ServingRun fast = RunServing(c, /*fast_forward=*/true);
     ExpectSameRun(fast, RunServing(c, /*fast_forward=*/false), Describe(c));
+    // Cold starts retired, so the snapshot carries their fabric traffic.
+    const bool cold = std::any_of(fast.records.begin(), fast.records.end(),
+                                  [](const RequestRecord& r) { return r.cold; });
+    EXPECT_EQ(fast.metrics.find("\"fabric.bytes\"") != std::string::npos, cold)
+        << Describe(c);
     total.hits += fast.counts.hits;
     total.materialized += fast.counts.materialized;
   }
@@ -368,6 +371,21 @@ class FastForwardEngineDiff {
                             pipeline);
   }
 
+  // Fabric traffic of one run: the sums of what its completed cold runs
+  // report, and (event by event only) the transfers the fabric started,
+  // counted by its cum/fabric.bytes counter, one sample per Start, the last
+  // of which is the byte total.
+  struct FabricTally {
+    std::int64_t reported_transfers = 0;
+    std::int64_t reported_bytes = 0;
+    std::int64_t started_transfers = 0;
+    std::int64_t started_bytes = 0;
+  };
+  // The tally of the last Run in this mode.
+  const FabricTally& tally(bool fast_forward) const {
+    return tallies_[fast_forward ? 1 : 0];
+  }
+
   // The completion log of one run: "<what> <time>" per completion, in order.
   // With a capture, every cold run is a recorded request; with a horizon
   // >= 0 the run stops there. The capture's bytes land in `journal`.
@@ -381,6 +399,18 @@ class FastForwardEngineDiff {
     ServerFabric fabric(&sim, &topology_);
     Engine engine(&sim, &fabric, &perf_);
     engine.set_fast_forward_for_testing(fast_forward);
+    FabricTally& tally = tallies_[fast_forward ? 1 : 0];
+    tally = FabricTally{};
+    if (!fast_forward) {
+      fabric.fabric().set_counter_sink(
+          [&tally](const std::string& track, std::string_view, Nanos,
+                   double value) {
+            if (track == "cum/fabric.bytes") {
+              ++tally.started_transfers;
+              tally.started_bytes = static_cast<std::int64_t>(value);
+            }
+          });
+    }
     CausalGraph* const graph = capture != nullptr ? capture->graph() : nullptr;
     if (graph != nullptr) {
       engine.set_causal(graph);
@@ -423,16 +453,20 @@ class FastForwardEngineDiff {
         }
       }
       engine.RunCold(models_[c.model], plan, c.primary, secondaries, options,
-                     [&log, &sim, k, graph, request](const InferenceResult& r) {
+                     [&log, &sim, &tally, k, graph, request](const InferenceResult& r) {
                        if (graph != nullptr) {
                          graph->EndRequest(request, sim.now(), r.causal_terminal);
                        }
+                       tally.reported_transfers += r.fabric_transfers;
+                       tally.reported_bytes += r.fabric_bytes;
                        std::string line = "cold" + std::to_string(k) + " " +
                                           std::to_string(sim.now()) + " lat=" +
                                           std::to_string(r.latency) + " load=" +
                                           std::to_string(r.load_done) + " stall=" +
                                           std::to_string(r.stall) + " busy=" +
-                                          std::to_string(r.exec_busy);
+                                          std::to_string(r.exec_busy) + " xfers=" +
+                                          std::to_string(r.fabric_transfers) + " bytes=" +
+                                          std::to_string(r.fabric_bytes);
                        for (const PartitionStats& p : r.partitions) {
                          line += " p" + std::to_string(p.bytes) + "/" +
                                  std::to_string(p.pcie_start) + "/" +
@@ -603,6 +637,7 @@ class FastForwardEngineDiff {
   Topology topology_;
   PerfModel perf_;
   std::vector<Model> models_;
+  FabricTally tallies_[2];  // event by event, fast-forwarded
 };
 
 TEST(FastForwardEngineDiffTest, RandomSchedulesMatchEventByEvent) {
@@ -611,6 +646,7 @@ TEST(FastForwardEngineDiffTest, RandomSchedulesMatchEventByEvent) {
       Strategy::kBaseline, Strategy::kDeepPlanDha, Strategy::kDeepPlanPt,
       Strategy::kDeepPlanPtDha};
   FastForwardCounts total;
+  std::int64_t fabric_starts = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     std::vector<FastForwardEngineDiff::Cold> colds;
@@ -643,7 +679,17 @@ TEST(FastForwardEngineDiffTest, RandomSchedulesMatchEventByEvent) {
     const FastForwardCounts c = diff.ExpectSame(colds, markers);
     total.hits += c.hits;
     total.materialized += c.materialized;
+    // Every transfer the event-by-event fabric started is reported by
+    // exactly one cold run's result, in both modes.
+    const FastForwardEngineDiff::FabricTally& slow = diff.tally(false);
+    const FastForwardEngineDiff::FabricTally& fast = diff.tally(true);
+    EXPECT_EQ(slow.reported_transfers, slow.started_transfers);
+    EXPECT_EQ(slow.reported_bytes, slow.started_bytes);
+    EXPECT_EQ(fast.reported_transfers, slow.started_transfers);
+    EXPECT_EQ(fast.reported_bytes, slow.started_bytes);
+    fabric_starts += slow.started_transfers;
   }
+  EXPECT_GT(fabric_starts, 0);
   EXPECT_GT(total.hits, 20u);
   EXPECT_GT(total.materialized, 10u);
 }

@@ -190,7 +190,7 @@ TEST(JournalRoundTripTest, ColdStartGraphSurvivesBinaryExactly) {
   const std::string path = TempPath("journal_fig02.dpj");
 
   std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, {}, nullptr, &error)) << error;
+  ASSERT_TRUE(WriteGraphToJournal(graph, path, {}, &error)) << error;
   CausalGraph back(/*enabled=*/true);
   ASSERT_TRUE(ReadJournalToGraph(path, &back, &error)) << error;
   EXPECT_EQ(back.ToJson(), json);
@@ -208,7 +208,7 @@ TEST(JournalRoundTripTest, ServedWorkloadSurvivesBinaryExactly) {
   JournalWriterOptions small;
   small.chunk_requests = 16;
   std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, small, nullptr, &error))
+  ASSERT_TRUE(WriteGraphToJournal(graph, path, small, &error))
       << error;
 
   CausalGraph back(/*enabled=*/true);
@@ -292,7 +292,7 @@ TEST(JournalReaderTest, IteratesChunksAndCrossChecksTheFooter) {
   JournalWriterOptions small;
   small.chunk_requests = 32;
   std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, small, nullptr, &error))
+  ASSERT_TRUE(WriteGraphToJournal(graph, path, small, &error))
       << error;
 
   JournalReader reader;
@@ -334,7 +334,7 @@ class JournalCorruptionTest : public ::testing::Test {
     JournalWriterOptions small;
     small.chunk_requests = 4;  // two chunks
     std::string error;
-    ASSERT_TRUE(WriteGraphToJournal(graph, path_, small, nullptr, &error))
+    ASSERT_TRUE(WriteGraphToJournal(graph, path_, small, &error))
         << error;
     bytes_ = ReadFileBytes(path_);
     ASSERT_GT(bytes_.size(), 40u);
@@ -486,7 +486,7 @@ class WindowedReplayTest : public ::testing::Test {
       JournalWriterOptions small;
       small.chunk_requests = 64;  // many windows
       std::string error;
-      EXPECT_TRUE(WriteGraphToJournal(Graph(), p, small, nullptr, &error))
+      EXPECT_TRUE(WriteGraphToJournal(Graph(), p, small, &error))
           << error;
       return p;
     }();

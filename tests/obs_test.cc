@@ -68,17 +68,13 @@ using testutil::JsonChecker;
 
 // ---------------------------------------------------------------- registry
 
-TEST(MetricsRegistryTest, CountersGaugesHistograms) {
+TEST(MetricsRegistryTest, CountersAndHistograms) {
   MetricsRegistry reg;
   EXPECT_TRUE(reg.empty());
   EXPECT_EQ(reg.counter("server.requests"), 0);
   reg.AddCounter("server.requests");
   reg.AddCounter("server.requests", 4);
   EXPECT_EQ(reg.counter("server.requests"), 5);
-
-  reg.SetGauge("server.queue_depth.gpu0", 3.0);
-  reg.SetGauge("server.queue_depth.gpu0", 1.0);
-  EXPECT_DOUBLE_EQ(reg.gauge("server.queue_depth.gpu0"), 1.0);
 
   for (int i = 1; i <= 100; ++i) {
     reg.Observe("server.latency_ms", static_cast<double>(i));
@@ -124,31 +120,27 @@ TEST(MetricsRegistryTest, JsonExportIsSortedAndValid) {
   EXPECT_EQ(MetricsRegistry().ToJson(), "{}");  // empty sections are omitted
   reg.AddCounter("b.second");
   reg.AddCounter("a.first");
-  reg.SetGauge("g.depth", 2.0);
   reg.Observe("h.latency", 7.0);
   const std::string json = reg.ToJson();
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   // Keys render in sorted order regardless of first-touch order.
   EXPECT_LT(json.find("a.first"), json.find("b.second"));
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_EQ(reg.ToJson(), json);  // export does not perturb the registry
 }
 
-// ------------------------------------------------------- journal counters
+// ------------------------------------------------------- journal totals
 
-// The streaming journal writer threads its progress through the registry:
-// exact counter values, stable sorted-key snapshots, and nothing at all when
-// no registry is attached.
-TEST(MetricsRegistryTest, JournalCountersTrackTheWriterExactly) {
+// The streaming journal writer reports its progress exactly: what it
+// flushed, and the bytes that reached the file.
+TEST(JournalWriterTest, TotalsTrackTheWriterExactly) {
   const std::string path = ::testing::TempDir() + "/obs_journal.dpj";
-  MetricsRegistry reg;
   CausalGraph graph(/*enabled=*/true);
   JournalWriter writer;
   JournalWriterOptions small;
   small.chunk_requests = 2;
-  ASSERT_TRUE(writer.Open(path, small, &reg));
+  ASSERT_TRUE(writer.Open(path, small));
   graph.AttachSink(&writer);
   const int process = graph.RegisterProcess("p");
   for (int i = 0; i < 5; ++i) {
@@ -163,38 +155,17 @@ TEST(MetricsRegistryTest, JournalCountersTrackTheWriterExactly) {
   graph.FlushOpenRequests();  // retires request 4 with completion -1
   ASSERT_TRUE(writer.Finish());
 
-  EXPECT_EQ(reg.counter("journal.requests"), 5);
-  EXPECT_EQ(reg.counter("journal.incomplete_requests"), 1);
-  EXPECT_EQ(reg.counter("journal.nodes"), 10);  // arrival + exec per request
-  EXPECT_EQ(reg.counter("journal.edges"), 5);
-  EXPECT_EQ(reg.counter("journal.chunks"), 3);  // 2 + 2 + 1
-  EXPECT_EQ(reg.counter("journal.bytes"),
-            static_cast<std::int64_t>(writer.bytes_written()));
-  EXPECT_EQ(writer.totals().chunks, 3u);
-
-  // The snapshot renders journal.* in sorted key order, byte-stable.
-  const std::string json = reg.ToJson();
-  EXPECT_TRUE(JsonChecker(json).Valid()) << json;
-  EXPECT_LT(json.find("journal.bytes"), json.find("journal.chunks"));
-  EXPECT_LT(json.find("journal.chunks"), json.find("journal.edges"));
-  EXPECT_LT(json.find("journal.edges"), json.find("journal.incomplete"));
-  EXPECT_LT(json.find("journal.incomplete"), json.find("journal.nodes"));
-  EXPECT_LT(json.find("journal.nodes"), json.find("journal.requests"));
-  EXPECT_EQ(reg.ToJson(), json);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsRegistryTest, WriterWithoutRegistryTouchesNoMetrics) {
-  const std::string path = ::testing::TempDir() + "/obs_journal_noreg.dpj";
-  CausalGraph graph(/*enabled=*/true);
-  JournalWriter writer;
-  ASSERT_TRUE(writer.Open(path));  // no registry attached
-  graph.AttachSink(&writer);
-  const int process = graph.RegisterProcess("p");
-  const int req = graph.BeginRequest(process, 0, 0);
-  graph.EndRequest(req, 1, graph.arrival_node(req));
-  ASSERT_TRUE(writer.Finish());
-  EXPECT_EQ(writer.totals().requests, 1u);
+  JournalTotals expected;
+  expected.requests = 5;
+  expected.incomplete_requests = 1;
+  expected.nodes = 10;  // arrival + exec per request
+  expected.edges = 5;
+  expected.chunks = 3;  // 2 + 2 + 1
+  EXPECT_EQ(writer.totals(), expected);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  ASSERT_TRUE(file);
+  EXPECT_EQ(writer.bytes_written(),
+            static_cast<std::uint64_t>(file.tellg()));
   std::remove(path.c_str());
 }
 
@@ -230,16 +201,15 @@ TEST(CausalGraphTest, DisabledGraphAllocatesNothing) {
 class ColdStartTraceTest : public ::testing::Test {
  protected:
   // Runs the cold start as request 0 of `graph` and returns the trace
-  // derived from the graph.
+  // derived from the graph; the run's result lands in `out` if given.
   static TraceDocument RunOnce(
-      CausalGraph* graph, MetricsRegistry* registry = nullptr,
+      CausalGraph* graph, InferenceResult* out = nullptr,
       ColdRunOptions options = MakeColdRunOptions(Strategy::kDeepPlanPtDha)) {
     const Topology topology = Topology::A5000Box();
     const PerfModel perf(topology.gpu(), topology.pcie());
     Simulator sim;
     ServerFabric fabric(&sim, &topology);
     Engine engine(&sim, &fabric, &perf);
-    fabric.fabric().set_telemetry(registry);
     engine.set_causal(graph);
     options.causal_request =
         graph->BeginRequest(graph->RegisterProcess("PT+DHA cold start"), 0, 0);
@@ -263,6 +233,9 @@ class ColdStartTraceTest : public ::testing::Test {
                    });
     sim.Run();
     EXPECT_GT(result.latency, 0);
+    if (out != nullptr) {
+      *out = result;
+    }
     return CausalTrace(*graph);
   }
 
@@ -274,9 +247,9 @@ class ColdStartTraceTest : public ::testing::Test {
 
 TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
   CausalGraph graph;
-  MetricsRegistry registry;
-  const std::string json =
-      ChromeTraceWriter::ToJson(RunOnce(&graph, &registry));
+  InferenceResult result;
+  const TraceDocument doc = RunOnce(&graph, &result);
+  const std::string json = ChromeTraceWriter::ToJson(doc);
   EXPECT_TRUE(JsonChecker(json).Valid()) << json;
   // Per-GPU PCIe load tracks (PT splits the model over both GPUs), the
   // primary's exec track, NVLink migration, and per-link bandwidth counters.
@@ -287,9 +260,17 @@ TEST_F(ColdStartTraceTest, GoldenTwoGpuTraceIsPerfettoLoadable) {
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
   EXPECT_NE(json.find("bw/"), std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  // The fabric counted the PT transfers.
-  EXPECT_GT(registry.counter("fabric.transfers"), 0);
-  EXPECT_GT(registry.counter("fabric.bytes"), 0);
+  // The run reports its PT transfers, and their bytes are what the trace's
+  // cumulative fabric counter (replayed from the graph) ends at.
+  EXPECT_GT(result.fabric_transfers, 0);
+  EXPECT_GT(result.fabric_bytes, 0);
+  double cumulative = 0.0;
+  for (const TraceEvent& e : doc.events) {
+    if (e.phase == TracePhase::kCounter && e.track == "cum/fabric.bytes") {
+      cumulative = std::max(cumulative, e.value);
+    }
+  }
+  EXPECT_EQ(cumulative, static_cast<double>(result.fabric_bytes));
 }
 
 TEST_F(ColdStartTraceTest, IdenticalRunsExportIdenticalBytes) {
@@ -521,12 +502,15 @@ TEST(FabricTelemetryTest, ContendedLinkEmitsChangingCounterSamples) {
   // contention on X comes and goes: 6 (sharing) -> 12 (A done) -> 0 (B done).
   const LinkId x = fabric.AddLink("pcie/uplink", 12.0e9);
   const LinkId y = fabric.AddLink("pcie/gpu1", 20.0e9);
-  MetricsRegistry registry;
-  fabric.set_telemetry(&registry);
   std::vector<double> y_samples;
-  fabric.set_counter_sink([&y_samples](const std::string& track,
-                                       std::string_view series, Nanos,
-                                       double value) {
+  std::vector<double> byte_samples;  // one per transfer start
+  fabric.set_counter_sink([&y_samples, &byte_samples](
+                              const std::string& track,
+                              std::string_view series, Nanos, double value) {
+    if (track == "cum/fabric.bytes") {
+      EXPECT_EQ(series, "bytes");
+      byte_samples.push_back(value);
+    }
     if (track == "bw/pcie/gpu1") {
       EXPECT_EQ(series, "gbps");
       y_samples.push_back(value);
@@ -537,8 +521,7 @@ TEST(FabricTelemetryTest, ContendedLinkEmitsChangingCounterSamples) {
     fabric.Start({x, y}, 600'000'000, 0, [](Nanos) {});
   });
   sim.Run();
-  EXPECT_EQ(registry.counter("fabric.transfers"), 2);
-  EXPECT_EQ(registry.counter("fabric.bytes"), 900'000'000);
+  EXPECT_EQ(byte_samples, (std::vector<double>{300'000'000, 900'000'000}));
   ASSERT_GE(y_samples.size(), 3u);
   EXPECT_DOUBLE_EQ(y_samples[0], 6.0);   // fair half of the shared uplink
   EXPECT_DOUBLE_EQ(y_samples[1], 12.0);  // A finished, B gets the full uplink

@@ -62,7 +62,7 @@ void RoundTripThroughBinary(const CausalGraph& graph, const std::string& name,
                             CausalGraph* out) {
   const std::string path = ::testing::TempDir() + "/" + name;
   std::string error;
-  ASSERT_TRUE(WriteGraphToJournal(graph, path, {}, nullptr, &error)) << error;
+  ASSERT_TRUE(WriteGraphToJournal(graph, path, {}, &error)) << error;
   ASSERT_TRUE(ReadJournalToGraph(path, out, &error)) << error;
   std::remove(path.c_str());
 }

@@ -286,6 +286,40 @@ TEST_F(ServerTest, TelemetryCountersMatchServingMetrics) {
   EXPECT_NE(json.find("bw/"), std::string::npos);
 }
 
+// The registry is written at retirement only: mid-run it holds nothing for
+// the requests still in flight, and each cold start's fabric traffic lands
+// with its request.
+TEST_F(ServerTest, TelemetryCountsOnlyRetiredRequests) {
+  const Topology topo = Topology::P3_8xlarge();
+  const PerfModel perf(topo.gpu(), topo.pcie());
+  Simulator sim;
+  ServerOptions options = BaseOptions(Strategy::kPipeSwitch);
+  options.warmup = false;  // every first request cold-starts
+  Server server(&sim, topo, perf, options);
+  server.AddInstances(server.RegisterModelType(ModelZoo::BertBase()), 4);
+  MetricsRegistry registry;
+  server.set_telemetry(&registry);
+  server.Warmup();
+  sim.ScheduleAt(0, [&server] {
+    for (int instance = 0; instance < 4; ++instance) {
+      server.Submit(instance);  // one per GPU
+    }
+  });
+  sim.RunUntil(Millis(1));
+  EXPECT_EQ(server.OutstandingRequests(), 4);
+  EXPECT_TRUE(registry.empty()) << registry.ToJson();
+
+  sim.Run();
+  ASSERT_EQ(server.metrics().ColdStartCount(), 4u);
+  EXPECT_EQ(registry.counter("server.requests"), 4);
+  EXPECT_EQ(registry.counter("server.cold_starts"), 4);
+  EXPECT_GT(registry.counter("fabric.transfers"), 0);
+  // PipeSwitch loads the whole model over PCIe, one partition.
+  EXPECT_EQ(registry.counter("fabric.bytes"),
+            4 * ModelZoo::BertBase().total_param_bytes());
+  EXPECT_EQ(registry.ToJson().find("gauges"), std::string::npos);
+}
+
 TEST_F(ServerTest, LatencyBreakdownComponentsTileTotal) {
   const Topology topo = Topology::P3_8xlarge();
   const PerfModel perf(topo.gpu(), topo.pcie());
